@@ -122,13 +122,29 @@ def _subset_value(m_rows: list[list[int]], a: IntMatrix, subset: tuple[int, ...]
     return Fraction(len(subset), x_s), closure, x_s
 
 
+def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
+    """Minimum of |S|/x_S over nonempty row subsets with |S| <= max_size.
+
+    Ties go to smaller |S|, then lexicographically smaller S, so the witness
+    is deterministic.  Returns (value, S, closure rows, x_S).
+    """
+    m_rows = bound_matrix(a).to_lists()
+    best = None
+    for size in range(1, min(max_size, a.rows) + 1):
+        for subset in combinations(range(1, a.rows + 1), size):
+            value, closure, x_s = _subset_value(m_rows, a, subset, field.p)
+            if best is None or value < best[0]:
+                best = (value, subset, tuple(closure), x_s)
+    assert best is not None
+    return best
+
+
 def subset_bound(a: IntMatrix, field: PrimeField, exhaustive_limit: int = 20) -> BoundResult:
     """Exact minimum of |S|/x_S over all nonempty row subsets S.
 
-    Ties are broken toward smaller |S|, then lexicographically smaller S,
-    so the witness is deterministic.  Refuses to enumerate when r exceeds
-    ``exhaustive_limit`` (2^r subsets); the rank bound is the S = all-rows
-    term and remains available in that case.
+    Refuses to enumerate when r exceeds ``exhaustive_limit`` (2^r subsets);
+    the rank bound is the S = all-rows term and remains available in that
+    case.
     """
     r = a.rows
     if r > exhaustive_limit:
@@ -136,22 +152,8 @@ def subset_bound(a: IntMatrix, field: PrimeField, exhaustive_limit: int = 20) ->
             f"exact mode refused: r={r} exceeds the enumeration limit "
             f"{exhaustive_limit}"
         )
-    m_rows = bound_matrix(a).to_lists()
-    best: Optional[BoundResult] = None
-    for size in range(1, r + 1):
-        for subset in combinations(range(1, r + 1), size):
-            value, closure, x_s = _subset_value(m_rows, a, subset, field.p)
-            if best is None or value < best.bound:
-                best = BoundResult(
-                    bound=value,
-                    char=field.p,
-                    via="subset",
-                    subset=subset,
-                    closure=tuple(closure),
-                    x_s=x_s,
-                )
-    assert best is not None
-    return best
+    value, subset, closure, x_s = _min_subset(a, field, r)
+    return BoundResult(value, field.p, "subset", subset=subset, closure=closure, x_s=x_s)
 
 
 def subset_bound_limited(a: IntMatrix, field: PrimeField, max_size: int) -> BoundResult:
@@ -163,23 +165,16 @@ def subset_bound_limited(a: IntMatrix, field: PrimeField, max_size: int) -> Boun
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    m_rows = bound_matrix(a).to_lists()
-    best = None
-    for size in range(1, min(max_size, a.rows) + 1):
-        for subset in combinations(range(1, a.rows + 1), size):
-            value, closure, x_s = _subset_value(m_rows, a, subset, field.p)
-            if best is None or value < best.bound:
-                best = BoundResult(
-                    bound=value,
-                    char=field.p,
-                    via="subset-limited",
-                    subset=subset,
-                    closure=tuple(closure),
-                    x_s=x_s,
-                    note=f"search limited to |S|<={max_size}",
-                )
-    assert best is not None
-    return best
+    value, subset, closure, x_s = _min_subset(a, field, max_size)
+    return BoundResult(
+        value,
+        field.p,
+        "subset-limited",
+        subset=subset,
+        closure=closure,
+        x_s=x_s,
+        note=f"search limited to |S|<={max_size}",
+    )
 
 
 def _inapplicable(kind: str, char: int, why: str) -> BoundResult:

@@ -72,13 +72,20 @@ def _resolve_source(spec: str) -> tuple[IncidenceStructure, str, str]:
     """Resolve a structure source string to (structure, family, label).
 
     Accepts instance names (k2, triangle, fig3, fig4a, star-composite,
-    fig6, fano), ``sts:V``, ``complete:N``, ``higher:t-v-k-lam``, and
+    fig6, fano), ``graph:SOURCE`` (a source that must be a graph),
+    ``sts:V``, ``complete:N``, ``design:t-v-k-lam``, ``higher:SOURCE``
+    (its subset-vs-block structure; a bare t-v-k-lam names a design), and
     ``file:PATH`` / ``blocks:PATH``.
     """
     if spec in INSTANCES or spec in ALIASES:
         inst = get_instance(spec)
         return inst.build(), inst.family, inst.name
     head, _, arg = spec.partition(":")
+    if head == "graph":
+        struct, family, label = _resolve_source(arg)
+        if family != "graph":
+            raise CliError(f"{arg!r} is not a graph instance")
+        return struct, family, label
     if head == "sts":
         v = int(arg)
         return incidence.steiner_triple(v), "bibd", f"sts-{v}"
@@ -86,7 +93,8 @@ def _resolve_source(spec: str) -> tuple[IncidenceStructure, str, str]:
         n = int(arg)
         return incidence.complete_graph(n), "graph", f"k{n}"
     if head == "higher":
-        base, label = _parse_design_spec(arg)
+        is_source = ":" in arg or arg in INSTANCES or arg in ALIASES
+        base, _, label = _resolve_source(arg if is_source else f"design:{arg}")
         return incidence.higher_incidence(base), "higher", f"higher({label})"
     if head == "design":
         struct, label = _parse_design_spec(arg)
@@ -111,9 +119,9 @@ def _detect_family(struct: IncidenceStructure) -> str:
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k2", action="store_true", help="single-edge graph")
-    group.add_argument("--triangle", action="store_true", help="triangle graph")
-    group.add_argument("--fano", action="store_true", help="Fano plane")
+    group.add_argument("--k2", action="store_true", default=None, help="single-edge graph")
+    group.add_argument("--triangle", action="store_true", default=None, help="triangle graph")
+    group.add_argument("--fano", action="store_true", default=None, help="Fano plane")
     group.add_argument("--graph", metavar="NAME",
                        help="named graph: k2, triangle, fig3, fig4a, star-composite, fig6")
     group.add_argument("--sts", type=int, metavar="V", help="Steiner triple system on V points")
@@ -128,29 +136,37 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     orient.add_argument("--transpose", action="store_true", help="column orientation")
 
 
+# instance flag -> the source spec it stands for
+_FLAG_SOURCES = {
+    "k2": "k2",
+    "triangle": "triangle",
+    "fano": "fano",
+    "graph": "graph:{}",
+    "sts": "sts:{}",
+    "complete": "complete:{}",
+    "higher": "higher:{}",
+    "design": "design:{}",
+    "file": "file:{}",
+    "blocks": "blocks:{}",
+}
+
+# structure subcommand -> (source spec, what a missing argument should name)
+_STRUCTURE_SOURCES = {
+    "graph": ("graph:{}", "a name or --vertices N --edges u-v,..."),
+    "fano": ("fano", ""),
+    "sts": ("sts:{}", "the number of points"),
+    "complete": ("complete:{}", "the number of vertices"),
+    "star-composite": ("star-composite", ""),
+    "higher": ("higher:{}", "a design spec or source"),
+    "transpose": ("{}", "a source structure"),
+    "from-file": ("file:{}", "a path"),
+}
+
+
 def _instance_from_flags(args) -> tuple[IncidenceStructure, str, str]:
-    if args.k2:
-        return _resolve_source("k2")
-    if args.triangle:
-        return _resolve_source("triangle")
-    if args.fano:
-        return _resolve_source("fano")
-    if args.graph:
-        struct, family, label = _resolve_source(args.graph)
-        if family != "graph":
-            raise CliError(f"{args.graph!r} is not a graph instance")
-        return struct, family, label
-    if args.sts:
-        return _resolve_source(f"sts:{args.sts}")
-    if args.complete:
-        return _resolve_source(f"complete:{args.complete}")
-    if args.higher:
-        return _resolve_source(f"higher:{args.higher}")
-    if args.design:
-        return _resolve_source(f"design:{args.design}")
-    if args.file:
-        return _resolve_source(f"file:{args.file}")
-    return _resolve_source(f"blocks:{args.blocks}")
+    # Flags left unset are None, so `--sts 0` reaches the constructor.
+    flag = next(f for f in _FLAG_SOURCES if getattr(args, f) is not None)
+    return _resolve_source(_FLAG_SOURCES[flag].format(getattr(args, flag)))
 
 
 def _orientation(args) -> str:
@@ -162,52 +178,23 @@ def _orientation(args) -> str:
 
 
 def cmd_structure(args) -> int:
-    if args.what == "graph":
-        if args.arg and args.edges:
-            raise CliError("give either a named graph or --edges, not both")
+    if args.what == "graph" and args.edges:
         if args.arg:
-            struct, family, label = _resolve_source(args.arg)
-            if family != "graph":
-                raise CliError(f"{args.arg!r} is not a graph")
-        else:
-            if not (args.vertices and args.edges):
-                raise CliError("graph needs a name or --vertices N --edges u-v,...")
-            edges = []
-            for part in args.edges.split(","):
-                u, _, v = part.partition("-")
-                edges.append((int(u), int(v)))
-            struct = incidence.from_graph(args.vertices, edges)
-    elif args.what == "fano":
-        struct = incidence.fano()
-    elif args.what == "sts":
-        if not args.arg:
-            raise CliError("sts needs the number of points")
-        struct = incidence.steiner_triple(int(args.arg))
-    elif args.what == "complete":
-        if not args.arg:
-            raise CliError("complete needs the number of vertices")
-        struct = incidence.complete_graph(int(args.arg))
-    elif args.what == "star-composite":
-        struct = incidence.star_composite()
-    elif args.what == "higher":
-        if not args.arg:
-            raise CliError("higher needs a design spec or source")
-        base, _, _ = _resolve_source(
-            args.arg if ":" in args.arg or args.arg in INSTANCES or args.arg in ALIASES
-            else f"design:{args.arg}"
-        )
-        struct = incidence.higher_incidence(base)
-    elif args.what == "transpose":
-        if not args.arg:
-            raise CliError("transpose needs a source structure")
-        base, _, _ = _resolve_source(args.arg)
-        struct = base.transpose()
-    elif args.what == "from-file":
-        if not args.arg:
-            raise CliError("from-file needs a path")
-        struct, _, _ = _resolve_source(f"file:{args.arg}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown structure subcommand {args.what!r}")
+            raise CliError("give either a named graph or --edges, not both")
+        if not args.vertices:
+            raise CliError("graph needs a name or --vertices N --edges u-v,...")
+        edges = []
+        for part in args.edges.split(","):
+            u, _, v = part.partition("-")
+            edges.append((int(u), int(v)))
+        struct = incidence.from_graph(args.vertices, edges)
+    else:
+        spec, needs = _STRUCTURE_SOURCES[args.what]
+        if needs and not args.arg:
+            raise CliError(f"{args.what} needs {needs}")
+        struct, _, _ = _resolve_source(spec.format(args.arg))
+        if args.what == "transpose":
+            struct = struct.transpose()
 
     if args.validate is not None:
         if args.validate == 0:
@@ -290,7 +277,12 @@ def cmd_bound(args) -> int:
 def cmd_code(args) -> int:
     struct, family, label = _instance_from_flags(args)
     orientation = _orientation(args)
-    (p,) = _parse_chars(args.char)
+    if args.random_trials < 0:
+        raise CliError(f"--random-trials must be nonnegative, got {args.random_trials}")
+    chars = _parse_chars(args.char)
+    if len(chars) != 1:
+        raise CliError(f"code takes a single characteristic, got {args.char!r}")
+    (p,) = chars
     field = PrimeField(p)
     try:
         code, via = report_mod.generate_code(struct, family, orientation, field)

@@ -25,7 +25,6 @@ and exists purely as an independent cross-check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -34,7 +33,16 @@ import numpy as np
 
 from .gf import IntMatrix, PrimeField
 from .incidence import IncidenceStructure
-from .network import col_terminal_inputs, col_source, row_source, row_terminal_inputs
+from .network import (
+    _max_flow,
+    bottleneck_sources,
+    col_source,
+    col_terminal,
+    col_terminal_inputs,
+    row_terminal,
+    row_terminal_inputs,
+    source_offset,
+)
 
 __all__ = [
     "NetworkCode",
@@ -180,66 +188,17 @@ def find_margin_matrix(
     if r * row_total != c * col_total:
         return None
     # Nodes: 0 = source, 1..r rows, r+1..r+c columns, r+c+1 = sink.
-    nv = r + c + 2
-    src, snk = 0, r + c + 1
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    to: list[int] = []
-    cap: list[int] = []
-
-    def add(u: int, v: int, c_: int) -> None:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c_)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-
+    cells = [(i, j) for i in range(r) for j in range(c) if support.at(i, j)]
     inf = r * row_total + 1
-    for i in range(r):
-        add(src, 1 + i, row_total)
-    arc_of: dict[tuple[int, int], int] = {}
-    for i in range(r):
-        for j in range(c):
-            if support.at(i, j):
-                arc_of[(i, j)] = len(to)
-                add(1 + i, r + 1 + j, inf)
-    for j in range(c):
-        add(r + 1 + j, snk, col_total)
-
-    flow = 0
-    while True:
-        parent = [-1] * nv
-        parent[src] = -2
-        queue = deque([src])
-        while queue and parent[snk] == -1:
-            u = queue.popleft()
-            for ei in adj[u]:
-                v = to[ei]
-                if parent[v] == -1 and cap[ei] > 0:
-                    parent[v] = ei
-                    queue.append(v)
-        if parent[snk] == -1:
-            break
-        push = None
-        v = snk
-        while v != src:
-            ei = parent[v]
-            push = cap[ei] if push is None else min(push, cap[ei])
-            v = to[ei ^ 1]
-        v = snk
-        while v != src:
-            ei = parent[v]
-            cap[ei] -= push
-            cap[ei ^ 1] += push
-            v = to[ei ^ 1]
-        flow += push
+    arcs = [(0, 1 + i, row_total) for i in range(r)]
+    arcs += [(1 + i, r + 1 + j, inf) for i, j in cells]
+    arcs += [(r + 1 + j, r + c + 1, col_total) for j in range(c)]
+    flow, carried = _max_flow(r + c + 2, arcs, 0, r + c + 1)
     if flow != r * row_total:
         return None
-    entries = []
-    for i in range(r):
-        for j in range(c):
-            ei = arc_of.get((i, j))
-            entries.append(0 if ei is None else inf - cap[ei])
+    entries = [0] * (r * c)
+    for (i, j), x in zip(cells, carried[r:]):
+        entries[i * c + j] = x
     return IntMatrix(r, c, tuple(entries))
 
 
@@ -310,15 +269,6 @@ def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
 # shared encoder/decoder assembly helpers
 
 
-def _msg_offset(rows: int, m: int, label: str) -> int:
-    """Column offset of a source's message block inside the stacked vector."""
-    if label.startswith("s_p"):
-        return (int(label[3:]) - 1) * m
-    if label.startswith("s_B"):
-        return (rows + int(label[3:]) - 1) * m
-    raise ValueError(f"not a source label: {label}")
-
-
 def _piece_layout(
     d: IntMatrix, row_ids: Sequence[int], col_ids: Sequence[int], base: int
 ):
@@ -349,19 +299,52 @@ def _piece_layout(
     return piece, slot
 
 
-def _partial_sum_rows(
-    enc: np.ndarray, rows: int, m: int, self_label: str, incident: Sequence[str]
-) -> None:
-    """Write the partial-sum block (identity on each incident message)."""
-    for label in (self_label, *incident):
-        off = _msg_offset(rows, m, label)
-        for k in range(m):
-            enc[k, off + k] = 1
+def _partial_sum_encoder(a: IntMatrix, i: int, m: int, n: int) -> np.ndarray:
+    """Encoder of bottleneck e<i> with its partial-sum block written: the
+    identity on the message of every source feeding it, in components 0..m-1."""
+    enc = np.zeros((n, m * (a.rows + a.cols)), dtype=np.int64)
+    for label in bottleneck_sources(a, i):
+        off = source_offset(a.rows, m, label)
+        enc[range(m), range(off, off + m)] = 1
+    return enc
 
 
-def _decoder_add_block(mat: np.ndarray, pos: int, width: int, col: int, m: int, coeff: int, p: int):
-    for k in range(m):
-        mat[k, pos * width + col + k] = (mat[k, pos * width + col + k] + coeff) % p
+def _ferry_pieces(enc: np.ndarray, r: int, i: int, m: int, piece, slot) -> int:
+    """Copy the column-message pieces row i ferries into its bundle slots;
+    returns the number of components used."""
+    used = 0
+    for (row, j), (start, length) in piece.items():
+        if row == i:
+            off = source_offset(r, m, col_source(j)) + start
+            enc[range(slot[(i, j)], slot[(i, j)] + length), range(off, off + length)] = 1
+            used += length
+    return used
+
+
+def _sum_decoders(a: IntMatrix, m: int, n: int) -> dict[str, Decoder]:
+    """Every terminal's decoder, adding the first m components of each input bundle."""
+    inputs = {row_terminal(i): row_terminal_inputs(a, i) for i in range(1, a.rows + 1)}
+    inputs.update({col_terminal(j): col_terminal_inputs(a, j) for j in range(1, a.cols + 1)})
+    decoders = {}
+    for terminal, ins in inputs.items():
+        mat = np.zeros((m, n * len(ins)), dtype=np.int64)
+        for pos in range(len(ins)):
+            mat[range(m), range(pos * n, pos * n + m)] = 1
+        decoders[terminal] = Decoder(tuple(ins), mat)
+    return decoders
+
+
+def _weight_pieces(dec: Decoder, j: int, n: int, piece, slot, coeff: int) -> int:
+    """Give weight coeff to each piece of the column-j message that reaches
+    the decoder through a bottleneck; returns the components covered."""
+    covered = 0
+    for pos, label in enumerate(dec.inputs):
+        if label.startswith("e") and (key := (int(label[1:]), j)) in piece:
+            start, length = piece[key]
+            base = pos * n + slot[key]
+            dec.matrix[range(start, start + length), range(base, base + length)] = coeff
+            covered += length
+    return covered
 
 
 # ---------------------------------------------------------------------------
@@ -397,53 +380,22 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
         )
     check_transfer_matrix(d, a)
     m, n = r, r + c
-    width = m * (r + c)
     piece, slot = _piece_layout(d, range(1, r + 1), range(1, c + 1), base=r)
 
     encoders = []
     for i in range(1, r + 1):
-        enc = np.zeros((n, width), dtype=np.int64)
-        incident = [col_source(j) for j in range(1, c + 1) if a.at(i - 1, j - 1)]
-        _partial_sum_rows(enc, r, m, row_source(i), incident)
-        used = 0
-        for j in range(1, c + 1):
-            if (i, j) in piece:
-                start, length = piece[(i, j)]
-                base = slot[(i, j)]
-                off = _msg_offset(r, m, col_source(j))
-                for k in range(length):
-                    enc[base + k, off + start + k] = 1
-                used += length
+        enc = _partial_sum_encoder(a, i, m, n)
+        used = _ferry_pieces(enc, r, i, m, piece, slot)
         assert used == c  # transfer row sums fill the extra components exactly
         encoders.append(enc)
 
-    decoders: dict[str, Decoder] = {}
-    for i in range(1, r + 1):
-        inputs = row_terminal_inputs(a, i)
-        mat = np.zeros((m, n * len(inputs)), dtype=np.int64)
-        _decoder_add_block(mat, 0, n, 0, m, 1, p)  # partial sum off its bottleneck
-        for pos in range(1, len(inputs)):
-            _decoder_add_block(mat, pos, n, 0, m, 1, p)  # direct messages
-        decoders[f"t_p{i}"] = Decoder(tuple(inputs), mat)
+    decoders = _sum_decoders(a, m, n)
     for j in range(1, c + 1):
-        inputs = col_terminal_inputs(a, j)
-        mat = np.zeros((m, n * len(inputs)), dtype=np.int64)
+        # weight -mu on the pieces cancels the mu extra copies of the column
+        # message in the partial sums
         mu = residue.diagonal[j - 1]
-        covered = 0
-        for pos, label in enumerate(inputs):
-            if label.startswith("e"):
-                i = int(label[1:])
-                _decoder_add_block(mat, pos, n, 0, m, 1, p)  # partial sums
-                if (i, j) in piece:
-                    start, length = piece[(i, j)]
-                    base = slot[(i, j)]
-                    for k in range(length):
-                        mat[start + k, pos * n + base + k] = (-mu) % p
-                    covered += length
-            else:
-                _decoder_add_block(mat, pos, n, 0, m, 1, p)
+        covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, (-mu) % p)
         assert covered == m  # the pieces of the column message partition [m]
-        decoders[f"t_B{j}"] = Decoder(tuple(inputs), mat)
 
     return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
 
@@ -459,22 +411,8 @@ def build_scalar_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     r, c = a.rows, a.cols
     p = field.p
     m = n = 1
-    width = r + c
-    encoders = []
-    for i in range(1, r + 1):
-        enc = np.zeros((1, width), dtype=np.int64)
-        incident = [col_source(j) for j in range(1, c + 1) if a.at(i - 1, j - 1)]
-        _partial_sum_rows(enc, r, 1, row_source(i), incident)
-        encoders.append(enc)
-    decoders: dict[str, Decoder] = {}
-    for i in range(1, r + 1):
-        inputs = row_terminal_inputs(a, i)
-        mat = np.ones((1, len(inputs)), dtype=np.int64)
-        decoders[f"t_p{i}"] = Decoder(tuple(inputs), mat)
-    for j in range(1, c + 1):
-        inputs = col_terminal_inputs(a, j)
-        mat = np.ones((1, len(inputs)), dtype=np.int64)
-        decoders[f"t_B{j}"] = Decoder(tuple(inputs), mat)
+    encoders = [_partial_sum_encoder(a, i, 1, 1) for i in range(1, r + 1)]
+    decoders = _sum_decoders(a, 1, 1)
     return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
 
 
@@ -509,50 +447,22 @@ def build_graph_transpose_code(
         )
     check_transfer_matrix(d, sub, row_total=vprime, col_total=bprime)
     m, n = bprime, bprime + vprime
-    width = m * (r + c)
     piece, slot = _piece_layout(d, b_prime, p_prime, base=m)
 
     encoders = []
     for i in range(1, r + 1):
-        enc = np.zeros((n, width), dtype=np.int64)
-        incident = [col_source(j) for j in range(1, c + 1) if a.at(i - 1, j - 1)]
-        _partial_sum_rows(enc, r, m, row_source(i), incident)
-        for j in p_prime:
-            if (i, j) in piece:
-                start, length = piece[(i, j)]
-                base = slot[(i, j)]
-                off = _msg_offset(r, m, col_source(j))
-                for k in range(length):
-                    enc[base + k, off + start + k] = 1
+        enc = _partial_sum_encoder(a, i, m, n)
+        _ferry_pieces(enc, r, i, m, piece, slot)
         encoders.append(enc)
 
-    decoders: dict[str, Decoder] = {}
-    for i in range(1, r + 1):
-        inputs = row_terminal_inputs(a, i)
-        mat = np.zeros((m, n * len(inputs)), dtype=np.int64)
-        for pos in range(len(inputs)):
-            _decoder_add_block(mat, pos, n, 0, m, 1, p)
-        decoders[f"t_p{i}"] = Decoder(tuple(inputs), mat)
+    decoders = _sum_decoders(a, m, n)
     for j in range(1, c + 1):
-        inputs = col_terminal_inputs(a, j)
-        mat = np.zeros((m, n * len(inputs)), dtype=np.int64)
-        correction = (1 - degs[j - 1]) % p  # cancels the extra (deg-1) copies
-        covered = 0
-        for pos, label in enumerate(inputs):
-            _decoder_add_block(mat, pos, n, 0, m, 1, p)
-            if label.startswith("e") and j in p_prime:
-                i = int(label[1:])
-                if (i, j) in piece:
-                    start, length = piece[(i, j)]
-                    base = slot[(i, j)]
-                    for k in range(length):
-                        mat[start + k, pos * n + base + k] = correction
-                    covered += length
         if j in p_prime:
+            correction = (1 - degs[j - 1]) % p  # cancels the extra (deg-1) copies
+            covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, correction)
             assert covered == m
         else:
             assert degs[j - 1] % p == 1 % p  # partial sums already aligned
-        decoders[f"t_B{j}"] = Decoder(tuple(inputs), mat)
 
     return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
 

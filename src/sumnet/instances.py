@@ -17,6 +17,7 @@ import numpy as np
 from . import incidence
 from .codes import Decoder, NetworkCode
 from .incidence import IncidenceStructure
+from .network import source_offset
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,13 @@ def _assemble(
     encoder_rows: list[list[_EncRow]],
     decoder_spec: dict[str, tuple[list[str], list[_DecRow]]],
 ) -> NetworkCode:
-    width = m * (rows + cols)
-
-    def offset(label: str) -> int:
-        if label.startswith("p"):
-            return (int(label[1:]) - 1) * m
-        return (rows + int(label[1:]) - 1) * m
-
     encoders = []
     for table in encoder_rows:
         assert len(table) == n
-        enc = np.zeros((n, width), dtype=np.int64)
+        enc = np.zeros((n, m * (rows + cols)), dtype=np.int64)
         for comp, terms in enumerate(table):
             for label, k, coeff in terms:
-                enc[comp, offset(label) + k] = coeff % p
+                enc[comp, source_offset(rows, m, f"s_{label}") + k] = coeff % p
         encoders.append(enc)
     decoders = {}
     for terminal, (inputs, table) in decoder_spec.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .gf import IntMatrix
 
@@ -42,6 +42,24 @@ def row_terminal(i: int) -> str:
 
 def col_terminal(j: int) -> str:
     return f"t_B{j}"
+
+
+def source_offset(r: int, m: int, label: str) -> int:
+    """Offset of a source's m-symbol message block in the stacked vector.
+
+    Every code and verifier uses one layout: the row messages s_p1..s_pr
+    first, then the column messages s_B1..s_Bc.
+    """
+    if label.startswith("s_p"):
+        return (int(label[3:]) - 1) * m
+    if label.startswith("s_B"):
+        return (r + int(label[3:]) - 1) * m
+    raise ValueError(f"not a source label: {label}")
+
+
+def bottleneck_sources(a: IntMatrix, i: int) -> list[str]:
+    """Sources feeding bottleneck e<i>: s_p<i>, then the columns incident to row i."""
+    return [row_source(i)] + [col_source(j) for j in range(1, a.cols + 1) if a.at(i - 1, j - 1)]
 
 
 def _columns_disjoint(a: IntMatrix, j: int, jp: int) -> bool:
@@ -149,10 +167,7 @@ def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
     for i in range(1, r + 1):
         edges.append(Edge(f"tail_e{i}", f"head_e{i}", alpha, i))
     for i in range(1, r + 1):
-        edges.append(Edge(row_source(i), f"tail_e{i}", alpha, 0))
-        for j in range(1, c + 1):
-            if a.at(i - 1, j - 1):
-                edges.append(Edge(col_source(j), f"tail_e{i}", alpha, 0))
+        edges += [Edge(src, f"tail_e{i}", alpha, 0) for src in bottleneck_sources(a, i)]
     for i in range(1, r + 1):
         edges.append(Edge(f"head_e{i}", row_terminal(i), alpha, 0))
         for j in range(1, c + 1):
@@ -184,26 +199,31 @@ def min_cut(net: SumNetwork, source: str, terminal: str) -> int:
         raise ValueError(f"{source} is not a source")
     if net.role_of(terminal) != "terminal":
         raise ValueError(f"{terminal} is not a terminal")
-    # Edmonds-Karp on the multigraph, multiplicities as capacities.
-    index: dict[str, int] = {}
-    for n, _ in net.nodes:
-        index[n] = len(index)
-    nv = len(index)
+    index = {n: k for k, (n, _) in enumerate(net.nodes)}
+    arcs = [(index[e.tail], index[e.head], e.mult) for e in net.edges]
+    flow, _ = _max_flow(len(index), arcs, index[source], index[terminal])
+    return flow
+
+
+def _max_flow(
+    nv: int, arcs: Sequence[tuple[int, int, int]], s: int, t: int
+) -> tuple[int, list[int]]:
+    """Integral max-flow from s to t over arcs (tail, head, capacity).
+
+    Edmonds-Karp: augments along BFS-shortest paths, scanning each node's
+    arcs in the order given, so the flow found is deterministic.  Returns
+    the flow value and the flow carried by each arc.
+    """
     adj: list[list[int]] = [[] for _ in range(nv)]
     to: list[int] = []
     cap: list[int] = []
-
-    def add(u: int, v: int, c: int) -> None:
+    for u, v, c in arcs:
         adj[u].append(len(to))
         to.append(v)
         cap.append(c)
         adj[v].append(len(to))
         to.append(u)
         cap.append(0)
-
-    for e in net.edges:
-        add(index[e.tail], index[e.head], e.mult)
-    s, t = index[source], index[terminal]
     flow = 0
     while True:
         parent = [-1] * nv
@@ -217,19 +237,16 @@ def min_cut(net: SumNetwork, source: str, terminal: str) -> int:
                     parent[v] = ei
                     queue.append(v)
         if parent[t] == -1:
-            return flow
-        push = None
+            return flow, [cap[2 * k + 1] for k in range(len(arcs))]
+        path = []
         v = t
         while v != s:
-            ei = parent[v]
-            push = cap[ei] if push is None else min(push, cap[ei])
-            v = to[ei ^ 1]
-        v = t
-        while v != s:
-            ei = parent[v]
+            path.append(parent[v])
+            v = to[parent[v] ^ 1]
+        push = min(cap[ei] for ei in path)
+        for ei in path:
             cap[ei] -= push
             cap[ei ^ 1] += push
-            v = to[ei ^ 1]
         flow += push
 
 

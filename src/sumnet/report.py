@@ -73,10 +73,8 @@ def applicable_bounds(
     family: str,
     orientation: str,
     field: PrimeField,
-    subset_limit: int = 0,
 ) -> list[bounds_mod.BoundResult]:
-    """Rank bound, family bound when the shape qualifies, and optionally the
-    exact subset bound (enabled by a positive subset_limit)."""
+    """Rank bound, plus the family bound when the shape qualifies."""
     a = orient_matrix(struct, orientation)
     out = [bounds_mod.rank_bound(a, field)]
     kind = family_kind(family, orientation)
@@ -85,11 +83,6 @@ def applicable_bounds(
             out.append(bounds_mod.family_bound(struct, kind, field))
         except ValueError:
             pass  # shape does not qualify after all
-    if subset_limit > 0:
-        try:
-            out.append(bounds_mod.subset_bound(a, field, exhaustive_limit=subset_limit))
-        except bounds_mod.SubsetSearchRefused:
-            pass
     return out
 
 
@@ -131,14 +124,12 @@ def generate_code(
     raise NoApplicableCode("; ".join(reasons) if reasons else "no construction applies")
 
 
-def capacity_table(specs: Sequence[RowSpec], subset_limit: int = 0) -> list[CapacityRow]:
+def capacity_table(specs: Sequence[RowSpec]) -> list[CapacityRow]:
     rows = []
     for spec in specs:
         field = PrimeField(spec.char)
         try:
-            results = applicable_bounds(
-                spec.structure, spec.family, spec.orientation, field, subset_limit
-            )
+            results = applicable_bounds(spec.structure, spec.family, spec.orientation, field)
             bound = best_bound(results)
         except ValueError as exc:
             rows.append(

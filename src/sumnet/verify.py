@@ -19,6 +19,7 @@ ground truth used to validate ``verify_exact`` itself on tiny instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .codes import NetworkCode
-from .network import SumNetwork
+from .network import SumNetwork, bottleneck_sources, source_offset
 
 _MASK = (1 << 64) - 1
 
@@ -79,28 +80,35 @@ def render_report(report: VerifyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _source_labels(net: SumNetwork) -> list[str]:
-    return [f"s_p{i}" for i in range(1, net.r + 1)] + [
-        f"s_B{j}" for j in range(1, net.c + 1)
-    ]
+def _direct_layout(net: SumNetwork, code: NetworkCode, label: str):
+    """Where a direct-edge bundle carries its source's message.
+
+    Parallel edge l carries message slice [l*m/alpha, (l+1)*m/alpha) in its
+    leading slots.  Returns (bundle components, stacked-vector coordinates).
+    """
+    m, n = code.m, code.n
+    slice_len = m // code.alpha
+    comps = [ell * n + u for ell in range(code.alpha) for u in range(slice_len)]
+    off = source_offset(net.r, m, label)
+    return np.array(comps, dtype=np.intp), np.arange(off, off + m)
 
 
-def _block_offset(net: SumNetwork, label: str, m: int) -> int:
-    if label.startswith("s_p"):
-        return (int(label[3:]) - 1) * m
-    return (net.r + int(label[3:]) - 1) * m
+def _feeding_masks(net: SumNetwork, m: int) -> list[np.ndarray]:
+    """Per bottleneck, the stacked-vector coordinates of the sources feeding it."""
+    masks = []
+    for i in range(1, net.r + 1):
+        mask = np.zeros(m * (net.r + net.c), dtype=bool)
+        for label in bottleneck_sources(net.matrix, i):
+            off = source_offset(net.r, m, label)
+            mask[off : off + m] = True
+        masks.append(mask)
+    return masks
 
 
 def _payload_matrix(net: SumNetwork, code: NetworkCode, label: str) -> np.ndarray:
     """Global map of a direct-edge bundle: the source's message, round by round."""
-    m, n, alpha = code.m, code.n, code.alpha
-    width = m * (net.r + net.c)
-    slice_len = m // alpha
-    out = np.zeros((alpha * n, width), dtype=np.int64)
-    off = _block_offset(net, label, m)
-    for ell in range(alpha):
-        for u in range(slice_len):
-            out[ell * n + u, off + ell * slice_len + u] = 1
+    out = np.zeros((code.alpha * code.n, code.m * (net.r + net.c)), dtype=np.int64)
+    out[_direct_layout(net, code, label)] = 1
     return out
 
 
@@ -136,20 +144,20 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
     for i, enc in enumerate(code.encoders, start=1):
         if enc.shape != (code.alpha * code.n, width):
             raise ValueError(f"encoder e{i} has shape {enc.shape}")
+    # Products stay exact while every inner dimension times (p-1)^2 fits int64.
+    inner = max([width] + [dec.matrix.shape[1] for dec in code.decoders.values()])
+    if (code.p - 1) ** 2 * inner >= 1 << 63:
+        limit = math.isqrt(((1 << 63) - 1) // inner) + 1
+        raise ValueError(
+            f"characteristic p={code.p} is too large for exact int64 verification: "
+            f"(p-1)^2 * {inner} must stay below 2^63, so p <= {limit} for this code"
+        )
 
 
 def _check_locality(net: SumNetwork, code: NetworkCode) -> None:
     """Structural validity: encoders and decoders read only what reaches them."""
     m = code.m
-    a = net.matrix
-    for i in range(1, net.r + 1):
-        allowed = np.zeros(m * (net.r + net.c), dtype=bool)
-        allowed[(i - 1) * m : i * m] = True
-        for j in range(1, net.c + 1):
-            if a.at(i - 1, j - 1):
-                off = (net.r + j - 1) * m
-                allowed[off : off + m] = True
-        enc = code.encoders[i - 1]
+    for i, (enc, allowed) in enumerate(zip(code.encoders, _feeding_masks(net, m)), start=1):
         if np.any(enc[:, ~allowed]):
             raise ValueError(
                 f"encoder e{i} uses a message outside the sources feeding it"
@@ -172,7 +180,7 @@ def _sum_map(net: SumNetwork, m: int) -> np.ndarray:
 
 
 def _unit_witness(net: SumNetwork, m: int, col: int) -> dict[str, tuple[int, ...]]:
-    labels = _source_labels(net)
+    labels = net.sources()
     block, comp = divmod(col, m)
     vec = [0] * m
     vec[comp] = 1
@@ -208,57 +216,38 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     )
 
 
-def _decode_all(net: SumNetwork, code: NetworkCode, x: np.ndarray):
-    """Propagate one message vector and decode at every terminal.
+def _failures(net: SumNetwork, code: NetworkCode, messages) -> list:
+    """Propagate each message vector, decode at every terminal, and collect
+    (terminal, witness) for every terminal that misses the sum.
 
     Bottleneck values are computed from the masked message vector holding
     only the sources feeding that bottleneck, which asserts structurally
     that edge values depend on nothing else.
     """
     p, m = code.p, code.m
-    n, alpha = code.n, code.alpha
-    a = net.matrix
-    slice_len = m // alpha
-    bottleneck_vals = []
-    for i in range(1, net.r + 1):
-        mask = np.zeros_like(x)
-        off = (i - 1) * m
-        mask[off : off + m] = x[off : off + m]
-        for j in range(1, net.c + 1):
-            if a.at(i - 1, j - 1):
-                off = (net.r + j - 1) * m
-                mask[off : off + m] = x[off : off + m]
-        bottleneck_vals.append(code.encoders[i - 1] @ mask % p)
-    payload_vals: dict[str, np.ndarray] = {}
-    out = {}
-    for terminal in net.terminals():
-        dec = code.decoders[terminal]
-        pieces = []
-        for input_id in dec.inputs:
-            if input_id.startswith("e"):
-                pieces.append(bottleneck_vals[int(input_id[1:]) - 1])
-                continue
-            val = payload_vals.get(input_id)
-            if val is None:
-                val = np.zeros(alpha * n, dtype=np.int64)
-                off = _block_offset(net, input_id, m)
-                for ell in range(alpha):
-                    val[ell * n : ell * n + slice_len] = x[
-                        off + ell * slice_len : off + (ell + 1) * slice_len
-                    ]
-                payload_vals[input_id] = val
-            pieces.append(val)
-        out[terminal] = dec.matrix @ np.concatenate(pieces) % p
-    return out
-
-
-def _true_sum(net: SumNetwork, m: int, x: np.ndarray, p: int) -> np.ndarray:
-    return x.reshape(net.r + net.c, m).sum(axis=0) % p
+    masks = _feeding_masks(net, m)
+    directs = {label: _direct_layout(net, code, label) for label in net.sources()}
+    decoders = [(t, code.decoders[t]) for t in net.terminals()]
+    failures = []
+    for x in messages:
+        want = x.reshape(net.r + net.c, m).sum(axis=0) % p
+        values = {
+            f"e{i}": enc @ np.where(mask, x, 0) % p
+            for i, (enc, mask) in enumerate(zip(code.encoders, masks), start=1)
+        }
+        for label, (comps, coords) in directs.items():
+            values[label] = np.zeros(code.alpha * code.n, dtype=np.int64)
+            values[label][comps] = x[coords]
+        for terminal, dec in decoders:
+            got = dec.matrix @ np.concatenate([values[k] for k in dec.inputs]) % p
+            if not np.array_equal(got, want):
+                failures.append((terminal, _assignment(net, m, x)))
+    return failures
 
 
 def _assignment(net: SumNetwork, m: int, x: np.ndarray) -> dict[str, tuple[int, ...]]:
     out = {}
-    for idx, label in enumerate(_source_labels(net)):
+    for idx, label in enumerate(net.sources()):
         vec = tuple(int(v) for v in x[idx * m : (idx + 1) * m])
         if any(vec):
             out[label] = vec
@@ -267,19 +256,16 @@ def _assignment(net: SumNetwork, m: int, x: np.ndarray) -> dict[str, tuple[int, 
 
 def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) -> VerifyReport:
     """Simulate the code on seeded pseudorandom messages (reproducible)."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     _check_dimensions(net, code)
     _check_locality(net, code)
-    p, m = code.p, code.m
-    dim = m * (net.r + net.c)
-    failures = []
-    for trial in range(trials):
-        stream = _symbol_stream((seed + trial) & _MASK, p)
-        x = np.fromiter((next(stream) for _ in range(dim)), dtype=np.int64, count=dim)
-        want = _true_sum(net, m, x, p)
-        decoded = _decode_all(net, code, x)
-        for terminal, got in decoded.items():
-            if not np.array_equal(got, want):
-                failures.append((terminal, _assignment(net, m, x)))
+    dim = code.m * (net.r + net.c)
+    messages = (
+        np.fromiter(_symbol_stream((seed + t) & _MASK, code.p), dtype=np.int64, count=dim)
+        for t in range(trials)
+    )
+    failures = _failures(net, code, messages)
     return VerifyReport(
         mode="randomized",
         ok=not failures,
@@ -293,19 +279,13 @@ def exhaustive_oracle(net: SumNetwork, code: NetworkCode, limit: int) -> VerifyR
     """Check every message tuple outright; refuses when q^dim exceeds limit."""
     _check_dimensions(net, code)
     _check_locality(net, code)
-    p, m = code.p, code.m
-    dim = m * (net.r + net.c)
+    p = code.p
+    dim = code.m * (net.r + net.c)
     total = p**dim
     if total > limit:
         raise ValueError(f"{p}^{dim} = {total} message tuples exceed the limit {limit}")
-    failures = []
-    for tup in product(range(p), repeat=dim):
-        x = np.array(tup, dtype=np.int64)
-        want = _true_sum(net, m, x, p)
-        decoded = _decode_all(net, code, x)
-        for terminal, got in decoded.items():
-            if not np.array_equal(got, want):
-                failures.append((terminal, _assignment(net, m, x)))
+    messages = (np.array(tup, dtype=np.int64) for tup in product(range(p), repeat=dim))
+    failures = _failures(net, code, messages)
     return VerifyReport(
         mode="exhaustive",
         ok=not failures,

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FANO_MATRIX, FIG3_TRANSPOSE_BOUND_MATRIX, mat, random_01_matrix
 from sumnet.bounds import (
@@ -16,7 +19,7 @@ from sumnet.bounds import (
     subset_bound_limited,
     support_product,
 )
-from sumnet.gf import IntMatrix, PrimeField
+from sumnet.gf import IntMatrix, PrimeField, rank_mod_p
 from sumnet.incidence import (
     all_subsets_design,
     complete_graph,
@@ -222,3 +225,34 @@ def test_family_higher():
 def test_family_kind_validation():
     with pytest.raises(ValueError, match="unknown family kind"):
         family_bound(FIG4A, "nonsense", PrimeField(2))
+
+
+@st.composite
+def zero_one_matrices(draw):
+    r = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=zero_one_matrices(), char=st.sampled_from([2, 3, 5]))
+def test_limited_search_at_full_size_equals_exact_search(a, char):
+    # Same minimiser and tie-break (smaller |S|, then lexicographic) on both paths.
+    field = PrimeField(char)
+    exact = subset_bound(a, field)
+    limited = subset_bound_limited(a, field, a.rows)
+    assert (limited.bound, limited.subset, limited.closure, limited.x_s) == (
+        exact.bound, exact.subset, exact.closure, exact.x_s
+    )
+    # Independent reference: the first minimiser in (|S|, lexicographic) order.
+    block = bound_matrix(a)
+    terms = []
+    for size in range(1, a.rows + 1):
+        for subset in combinations(range(1, a.rows + 1), size):
+            picked = [i - 1 for i in subset + tuple(sorted(closure_columns(a, subset)))]
+            x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
+            terms.append((Fraction(size, x_s), size, subset))
+    best, _, subset = min(terms)
+    assert (exact.bound, exact.subset) == (best, subset)

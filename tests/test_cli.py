@@ -183,3 +183,34 @@ def test_from_file_round_trip(tmp_path, capsys):
     status, _, err = run(capsys, "bound", "--file", str(tmp_path / "nope.txt"),
                          "--normal", "--char", "3")
     assert status == 1 and "error" in err
+
+
+def test_zero_size_flags_reach_the_constructor(capsys):
+    status, _, err = run(capsys, "bound", "--sts", "0", "--char", "2")
+    assert status == 1
+    assert "1 or 3" in err and "None" not in err
+    status, _, err = run(capsys, "bound", "--complete", "0", "--char", "2")
+    assert status == 1
+    assert "at least 2 vertices" in err and "None" not in err
+
+
+def test_code_rejects_several_characteristics(capsys):
+    status, out, err = run(capsys, "code", "--k2", "--char", "2,3")
+    assert status == 1
+    assert "single characteristic" in err
+    assert out == ""
+
+
+def test_code_rejects_negative_trials(capsys):
+    status, out, err = run(capsys, "code", "--k2", "--char", "2", "--random-trials", "-5")
+    assert status == 1
+    assert "--random-trials must be nonnegative" in err
+    assert out == ""
+
+
+def test_code_refuses_characteristic_beyond_int64(capsys):
+    status, out, err = run(capsys, "code", "--fano", "--char", "4294967311",
+                           "--random-trials", "20")
+    assert status == 1
+    assert "4294967311" in err and "2^63" in err
+    assert "FAILED" not in out

@@ -1,11 +1,13 @@
 """The verifier itself: exact, randomized, and exhaustive modes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import mat
 from sumnet.codes import NetworkCode, build_scalar_code, build_transfer_code, lift_code
-from sumnet.gf import PrimeField
+from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph
 from sumnet.instances import reference_code
 from sumnet.network import build_sum_network
@@ -182,3 +184,37 @@ def test_render_report_stable():
     bad = corrupt_encoder(code, 0, 2)
     text = render_report(verify_exact(net, bad))
     assert "ok no" in text and "t_B1" in text
+
+
+def test_verifiers_refuse_characteristics_that_overflow_int64():
+    # (p-1)^2 alone exceeds 2^63 here, so any code would wrap around.
+    p = 4294967311
+    code = build_transfer_code(K2_MATRIX, PrimeField(p))
+    net = build_sum_network(K2_MATRIX)
+    for check in (
+        lambda: verify_exact(net, code),
+        lambda: verify_random(net, code, 5, 1),
+        lambda: exhaustive_oracle(net, code, 10**6),
+    ):
+        with pytest.raises(ValueError, match=f"p={p}.*2\\^63"):
+            check()
+
+
+def test_int64_limit_is_tight():
+    # k2 transfer code: largest inner dimension 6 (encoder width and decoders).
+    net = build_sum_network(K2_MATRIX)
+    limit = math.isqrt((2**63 - 1) // 6) + 1  # largest p with (p-1)^2 * 6 < 2^63
+    below = next(q for q in range(limit, 2, -1) if is_prime(q))
+    above = next(q for q in range(limit + 1, 2 * limit) if is_prime(q))
+    code = build_transfer_code(K2_MATRIX, PrimeField(below))
+    assert verify_exact(net, code).ok
+    assert verify_random(net, code, 20, 7).ok
+    with pytest.raises(ValueError, match=f"p <= {limit}"):
+        verify_exact(net, build_transfer_code(K2_MATRIX, PrimeField(above)))
+
+
+def test_verify_random_rejects_negative_trials():
+    net = build_sum_network(K2_MATRIX)
+    code = build_transfer_code(K2_MATRIX, PrimeField(3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_random(net, code, -5, 1)
