@@ -1,16 +1,25 @@
 """The verifier itself: exact, randomized, and exhaustive modes."""
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mat
-from sumnet.codes import NetworkCode, build_scalar_code, build_transfer_code, lift_code
+from sumnet.codes import (
+    Decoder,
+    NetworkCode,
+    build_scalar_code,
+    build_transfer_code,
+    lift_code,
+)
 from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph
 from sumnet.instances import reference_code
-from sumnet.network import build_sum_network
+from sumnet.network import bottleneck_sources, build_sum_network, source_offset
 from sumnet.verify import (
     exhaustive_oracle,
     render_report,
@@ -218,3 +227,56 @@ def test_verify_random_rejects_negative_trials():
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
     with pytest.raises(ValueError, match="nonnegative"):
         verify_random(net, code, -5, 1)
+
+
+# Small codes whose every message tuple the exhaustive oracle can enumerate.
+SMALL_CODES = {
+    "k2-transfer-2": lambda: (K2_MATRIX, build_transfer_code(K2_MATRIX, PrimeField(2))),
+    "k2-transfer-3": lambda: (K2_MATRIX, build_transfer_code(K2_MATRIX, PrimeField(3))),
+    "k2-reference-3": lambda: (K2_MATRIX, reference_code("k2-normal", 3)),
+    "scalar-11-2": lambda: (mat([[1, 1]]), build_scalar_code(mat([[1, 1]]), PrimeField(2))),
+    "k2-lift2-2": lambda: (K2_MATRIX, lift_code(build_transfer_code(K2_MATRIX, PrimeField(2)), 2)),
+}
+
+
+@cache
+def small_code(name):
+    a, code = SMALL_CODES[name]()
+    return build_sum_network(a, alpha=code.alpha), code
+
+
+def fed_columns(net, code, i):
+    """Columns of encoder e<i> that belong to the sources feeding it."""
+    cols = []
+    for label in bottleneck_sources(net.matrix, i):
+        off = source_offset(net.r, code.m, label)
+        cols.extend(range(off, off + code.m))
+    return cols
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(SMALL_CODES)), data=st.data())
+def test_exact_matches_exhaustive_on_one_corrupted_entry(name, data):
+    net, code = small_code(name)
+    p = code.p
+    encoders = [e.copy() for e in code.encoders]
+    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    if data.draw(st.booleans(), label="corrupt encoder"):
+        i = data.draw(st.integers(1, len(encoders)), label="bottleneck")
+        target = encoders[i - 1]
+        row = data.draw(st.integers(0, target.shape[0] - 1), label="row")
+        col = data.draw(st.sampled_from(fed_columns(net, code, i)), label="col")
+    else:
+        terminal = data.draw(st.sampled_from(sorted(decoders)), label="terminal")
+        target = decoders[terminal].matrix
+        row = data.draw(st.integers(0, target.shape[0] - 1), label="row")
+        col = data.draw(st.integers(0, target.shape[1] - 1), label="col")
+    target[row, col] = (target[row, col] + data.draw(st.integers(1, p - 1))) % p
+    bad = NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
+                      tuple(encoders), decoders)
+    exact = verify_exact(net, bad)
+    truth = exhaustive_oracle(net, bad, limit=p ** (code.m * (net.r + net.c)))
+    assert exact.ok == truth.ok
+    assert {t for t, _ in exact.failures} == {t for t, _ in truth.failures}
+    for failure in exact.failures:
+        assert failure in truth.failures
