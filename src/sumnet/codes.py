@@ -334,9 +334,15 @@ def _sum_decoders(a: IntMatrix, m: int, n: int) -> dict[str, Decoder]:
     return decoders
 
 
-def _weight_pieces(dec: Decoder, j: int, n: int, piece, slot, coeff: int) -> int:
-    """Give weight coeff to each piece of the column-j message that reaches
-    the decoder through a bottleneck; returns the components covered."""
+def _weight_pieces(dec: Decoder, j: int, n: int, piece, slot, coeff: int, p: int) -> int:
+    """Give weight coeff mod p to each piece of the column-j message that
+    reaches the decoder through a bottleneck; returns the components covered."""
+    if p >= 1 << 63:
+        raise ValueError(
+            f"characteristic p={p} is too large for int64 code matrices: "
+            "decoder coefficients mod p must stay below 2^63"
+        )
+    coeff %= p
     covered = 0
     for pos, label in enumerate(dec.inputs):
         if label.startswith("e") and (key := (int(label[1:]), j)) in piece:
@@ -394,7 +400,7 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
         # weight -mu on the pieces cancels the mu extra copies of the column
         # message in the partial sums
         mu = residue.diagonal[j - 1]
-        covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, (-mu) % p)
+        covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, -mu, p)
         assert covered == m  # the pieces of the column message partition [m]
 
     return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
@@ -458,8 +464,8 @@ def build_graph_transpose_code(
     decoders = _sum_decoders(a, m, n)
     for j in range(1, c + 1):
         if j in p_prime:
-            correction = (1 - degs[j - 1]) % p  # cancels the extra (deg-1) copies
-            covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, correction)
+            correction = 1 - degs[j - 1]  # cancels the extra (deg-1) copies
+            covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, correction, p)
             assert covered == m
         else:
             assert degs[j - 1] % p == 1 % p  # partial sums already aligned
@@ -473,20 +479,13 @@ def build_graph_transpose_code(
 
 def _interleave(mat: np.ndarray, row_unit: int, col_unit: int, alpha: int) -> np.ndarray:
     """Block-diagonal lift: copy l acts on round l of every block."""
-    nr, nc = mat.shape
-    rblocks, cblocks = nr // row_unit, nc // col_unit
-    out = np.zeros((nr * alpha, nc * alpha), dtype=np.int64)
-    for ell in range(alpha):
-        for rb in range(rblocks):
-            src_r = rb * row_unit
-            dst_r = rb * row_unit * alpha + ell * row_unit
-            for cb in range(cblocks):
-                src_c = cb * col_unit
-                dst_c = cb * col_unit * alpha + ell * col_unit
-                out[dst_r : dst_r + row_unit, dst_c : dst_c + col_unit] = mat[
-                    src_r : src_r + row_unit, src_c : src_c + col_unit
-                ]
-    return out
+    rblocks, cblocks = mat.shape[0] // row_unit, mat.shape[1] // col_unit
+    out = np.zeros((rblocks, alpha, row_unit, cblocks, alpha, col_unit), dtype=np.int64)
+    rounds = np.arange(alpha)
+    # Both round axes take the same index, so round l of a row block meets
+    # only round l of a column block; the base blocks broadcast over l.
+    out[:, rounds, :, :, rounds, :] = mat.reshape(rblocks, row_unit, cblocks, col_unit)
+    return out.reshape(rblocks * alpha * row_unit, cblocks * alpha * col_unit)
 
 
 def lift_code(code: NetworkCode, alpha: int) -> NetworkCode:

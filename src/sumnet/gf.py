@@ -12,18 +12,54 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+# Deterministic Miller-Rabin: the first 13 primes are a complete witness set
+# for every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (inputs are machine-word sized)."""
+    """Exact primality for n below 3,317,044,064,679,887,385,961,981.
+
+    A larger n raises ``ValueError`` unless one of the bases divides it:
+    the fixed bases are not proved complete there.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: deterministic primality "
+            f"is limited to n < {_MR_LIMIT}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _integer_root(q: int, k: int) -> int:
+    """floor(q ** (1/k)) computed exactly."""
+    x = 1 << -(-q.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -46,19 +82,12 @@ class PrimeField:
         """
         if q < 2:
             raise ValueError(f"field order must be at least 2, got {q}")
-        p = None
-        d = 2
-        while d * d <= q:
-            if q % d == 0:
-                p = d
+        # The largest k with q an exact k-th power gives the only candidate p.
+        for k in range(q.bit_length(), 0, -1):
+            p = _integer_root(q, k)
+            if p**k == q:
                 break
-            d += 1
-        if p is None:
-            p = q
-        rest = q
-        while rest % p == 0:
-            rest //= p
-        if rest != 1:
+        if not is_prime(p):
             raise ValueError(f"{q} is not a prime power")
         return cls(p)
 

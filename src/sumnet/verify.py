@@ -3,8 +3,12 @@
 ``verify_exact`` is complete for the linear codes built here: it composes
 each terminal's decoder with the global maps of its input bundles and
 compares the result with the all-ones block map [I_m | I_m | ... | I_m].
-Equality of those matrices is equivalent to correct decoding of every
-message tuple, so a passing report is a proof, not a sample.
+A bottleneck block is multiplied by that bottleneck's encoder; a direct
+edge carries its source's message uncoded, so its block is scattered
+through the layout ``_direct_layout`` shares with the simulator.  The
+composite is still the full map, and equality of those matrices is
+equivalent to correct decoding of every message tuple, so a passing report
+is a proof, not a sample.
 
 ``verify_random`` re-checks by simulating topological edge propagation on
 pseudorandom messages; it exists as an independent cross-check and demo.
@@ -105,31 +109,6 @@ def _feeding_masks(net: SumNetwork, m: int) -> list[np.ndarray]:
     return masks
 
 
-def _payload_matrix(net: SumNetwork, code: NetworkCode, label: str) -> np.ndarray:
-    """Global map of a direct-edge bundle: the source's message, round by round."""
-    out = np.zeros((code.alpha * code.n, code.m * (net.r + net.c)), dtype=np.int64)
-    out[_direct_layout(net, code, label)] = 1
-    return out
-
-
-class _BundleCache:
-    """Global maps of every bundle a terminal can read, built on demand."""
-
-    def __init__(self, net: SumNetwork, code: NetworkCode):
-        self.net = net
-        self.code = code
-        self._payloads: dict[str, np.ndarray] = {}
-
-    def get(self, input_id: str) -> np.ndarray:
-        if input_id.startswith("e"):
-            return self.code.encoders[int(input_id[1:]) - 1]
-        mat = self._payloads.get(input_id)
-        if mat is None:
-            mat = _payload_matrix(self.net, self.code, input_id)
-            self._payloads[input_id] = mat
-        return mat
-
-
 def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
     if (net.r, net.c) != (code.rows, code.cols):
         raise ValueError(
@@ -188,7 +167,7 @@ def _unit_witness(net: SumNetwork, m: int, col: int) -> dict[str, tuple[int, ...
 
 
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
-    """Prove or refute the code by composing decoder and encoder maps.
+    """Prove or refute the code by composing decoder and bundle maps.
 
     ok means every terminal's composite map equals the sum map, i.e. the
     code is correct for all q^(m(r+c)) messages.
@@ -197,13 +176,21 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     _check_locality(net, code)
     p = code.p
     m = code.m
+    width = code.alpha * code.n
     target = _sum_map(net, m)
-    bundles = _BundleCache(net, code)
+    directs = {label: _direct_layout(net, code, label) for label in net.sources()}
     failures = []
     for terminal in net.terminals():
         dec = code.decoders[terminal]
-        stacked = np.vstack([bundles.get(x) for x in dec.inputs])
-        composite = dec.matrix @ stacked % p
+        composite = np.zeros_like(target)
+        for pos, x in enumerate(dec.inputs):
+            block = dec.matrix[:, pos * width : (pos + 1) * width]
+            if x.startswith("e"):
+                composite += block @ code.encoders[int(x[1:]) - 1]
+            else:
+                comps, coords = directs[x]
+                composite[:, coords] += block[:, comps]
+            composite %= p  # one product plus p-1 stays within _check_dimensions' limit
         diff = (composite - target) % p
         if np.any(diff):
             col = int(np.flatnonzero(diff.any(axis=0))[0])

@@ -1,6 +1,7 @@
 """The command-line surface: spec invocations, exit codes, determinism."""
 
 import json
+import time
 
 from sumnet.cli import main
 from sumnet.codes import import_code
@@ -214,3 +215,19 @@ def test_code_refuses_characteristic_beyond_int64(capsys):
     assert status == 1
     assert "4294967311" in err and "2^63" in err
     assert "FAILED" not in out
+
+
+def test_bound_decides_a_large_characteristic_quickly(capsys):
+    start = time.monotonic()
+    status, out, _ = run(capsys, "bound", "--k2", "--char", "2305843009213693951")
+    assert status == 0 and "rank 2/3" in out
+    assert time.monotonic() - start < 10  # trial division took minutes here
+
+
+def test_code_refuses_characteristics_beyond_int64_matrices(capsys):
+    status, out, err = run(capsys, "code", "--k2", "--char", "9223372036854775837")
+    assert status == 1 and out == ""
+    assert "p=9223372036854775837" in err and "2^63" in err
+    status, out, err = run(capsys, "code", "--k2", "--char", "2305843009213693951")
+    assert status == 1 and out == ""
+    assert "exact int64 verification" in err and "p <= 1239850263" in err

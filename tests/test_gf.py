@@ -1,5 +1,6 @@
 """Exact field and matrix arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -55,6 +56,51 @@ def test_from_order_reduces_prime_powers():
         PrimeField.from_order(12)
     with pytest.raises(ValueError):
         PrimeField.from_order(1)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number whenever all
+    # three factors are prime; the k below reach past 2^64.
+    chernick = []
+    for k in [*range(1, 400), *range(10**6, 10**6 + 3000)]:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(trial_division_is_prime(f) for f in factors):
+            chernick.append(math.prod(factors))
+    assert chernick[0] == 1729 and max(chernick) > 2**64
+    assert not any(is_prime(n) for n in chernick)
+    # Strong pseudoprimes to the first 4, 9 and 12 prime bases.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+
+
+def test_is_prime_refuses_beyond_its_proved_bound():
+    # The smallest strong pseudoprime to all 13 bases 2..41.
+    limit = 3317044064679887385961981
+    with pytest.raises(ValueError, match=str(limit)):
+        is_prime(limit)
+    assert not is_prime(limit + 1)  # even: decided by a base
+
+
+def test_from_order_on_large_prime_powers():
+    assert PrimeField.from_order(2**61 - 1).p == 2**61 - 1
+    assert PrimeField.from_order((2**61 - 1) ** 2).p == 2**61 - 1
+    assert PrimeField.from_order(3**40).p == 3
+    for q in (6**20, 2**61 * 3, (2**61 - 1) * (2**13 - 1)):
+        with pytest.raises(ValueError, match="not a prime power"):
+            PrimeField.from_order(q)
+    with pytest.raises(ValueError, match="deterministic primality"):
+        PrimeField.from_order((2**61 - 1) * (2**31 - 1))
 
 
 def test_field_inverse():

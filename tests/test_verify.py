@@ -177,11 +177,14 @@ def test_decoder_with_wrong_inputs_rejected():
 
 
 def test_lifted_code_verifies_and_simulates():
-    code = lift_code(build_transfer_code(K2_MATRIX, PrimeField(2)), 2)
-    net = build_sum_network(K2_MATRIX, alpha=2)
-    assert verify_exact(net, code).ok
-    assert verify_random(net, code, trials=200, seed=3).ok
-    assert exhaustive_oracle(net, code, limit=5000).ok  # 2^12 tuples
+    base = build_transfer_code(K2_MATRIX, PrimeField(2))
+    for alpha in (2, 3):
+        code = lift_code(base, alpha)
+        net = build_sum_network(K2_MATRIX, alpha=alpha)
+        assert verify_exact(net, code).ok
+        assert verify_random(net, code, trials=200, seed=3).ok
+        if alpha == 2:
+            assert exhaustive_oracle(net, code, limit=5000).ok  # 2^12 tuples
 
 
 def test_render_report_stable():
