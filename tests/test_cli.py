@@ -221,7 +221,7 @@ def test_bound_decides_a_large_characteristic_quickly(capsys):
     start = time.monotonic()
     status, out, _ = run(capsys, "bound", "--k2", "--char", "2305843009213693951")
     assert status == 0 and "rank 2/3" in out
-    assert time.monotonic() - start < 10  # trial division took minutes here
+    assert time.monotonic() - start < 10  # trial division takes minutes on this p
 
 
 def test_code_refuses_characteristics_beyond_int64_matrices(capsys):
