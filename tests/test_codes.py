@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIG4A_MATRIX,
@@ -37,8 +40,10 @@ from sumnet.incidence import (
     star_composite,
     steiner_triple,
 )
+from sumnet.bounds import family_bound
 from sumnet.instances import reference_code
 from sumnet.network import build_sum_network
+from sumnet.report import applicable_bounds, best_bound, generate_code, orient_matrix
 from sumnet.verify import verify_exact
 
 FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -306,3 +311,40 @@ def test_import_code_rejects_garbage():
     good = export_code(build_transfer_code(K2.matrix, PrimeField(2)))
     with pytest.raises(ValueError):
         import_code(good.replace("end", ""))
+
+
+# ---------------------------------------------------------------------------
+# every generated code, on random graphs
+
+
+@st.composite
+def simple_graphs(draw):
+    """A random simple graph on at most 7 vertices with no isolated vertex."""
+    pairs = list(combinations(range(1, 8), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    # Relabel the vertices that occur as 1..v, in order of first appearance.
+    label = {}
+    for e in edges:
+        for u in e:
+            label.setdefault(u, len(label) + 1)
+    return from_graph(len(label), [(label[u], label[w]) for u, w in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=simple_graphs(),
+    orientation=st.sampled_from(["normal", "transpose"]),
+    char=st.sampled_from([2, 3, 5]),
+)
+def test_generated_codes_verify_meet_bounds_and_round_trip(graph, orientation, char):
+    field = PrimeField(char)
+    try:
+        code, via = generate_code(graph, "graph", orientation, field)
+    except NoApplicableCode:
+        return
+    net = build_sum_network(orient_matrix(graph, orientation))
+    assert verify_exact(net, code).ok
+    assert code.rate <= best_bound(applicable_bounds(graph, "graph", orientation, field)).bound
+    if via == "graph-transpose":
+        assert code.rate == family_bound(graph, "graph-transpose", field).bound
+    assert codes_equal(import_code(export_code(code)), code)

@@ -35,12 +35,19 @@ CASES: dict[str, tuple[list[str], int, tuple[str, ...]]] = {
         ["bound", "--graph", "star-composite", "--transpose", "--char", "2,3,5"], 0, ()
     ),
     "structure-k2-network": (["structure", "graph", "k2", "--network"], 0, ()),
+    # fig4a has disjoint edges, so its network has column-to-column direct edges.
+    "structure-fig4a-network": (["structure", "graph", "fig4a", "--network"], 0, ()),
     "structure-higher": (["structure", "higher", "2-4-3-2"], 0, ()),
     "code-fig4a": (
         ["code", "--graph", "fig4a", "--transpose", "--char", "2", "--alpha", "2",
          "--random-trials", "20", "--out", "fig4a.code"],
         0,
         ("fig4a.code",),
+    ),
+    "code-triangle": (
+        ["code", "--triangle", "--normal", "--char", "3", "--out", "triangle.code"],
+        0,
+        ("triangle.code",),
     ),
     "structure-sts-missing": (["structure", "sts"], 1, ()),
 }
