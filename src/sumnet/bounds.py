@@ -60,12 +60,16 @@ class BoundResult:
         return " ".join(parts)
 
 
+def _support(m: IntMatrix) -> IntMatrix:
+    """Entrywise indicator of the positive entries."""
+    return IntMatrix(m.rows, m.cols, tuple(1 if x > 0 else 0 for x in m.entries))
+
+
 def support_product(n1: IntMatrix, n2: IntMatrix) -> IntMatrix:
     """Entrywise indicator that the integer product n1 @ n2 is positive."""
     if not (n1.is_zero_one() and n2.is_zero_one()):
         raise ValueError("support product expects (0,1)-matrices")
-    prod = n1.mul(n2)
-    return IntMatrix(prod.rows, prod.cols, tuple(1 if x > 0 else 0 for x in prod.entries))
+    return _support(n1.mul(n2))
 
 
 def bound_matrix(a: IntMatrix) -> IntMatrix:
@@ -102,24 +106,23 @@ def closure_columns(a: IntMatrix, subset: Iterable[int]) -> frozenset[int]:
     rows = set(subset)
     if not rows <= set(range(1, a.rows + 1)):
         raise ValueError("subset must contain row indices in 1..r")
-    out = []
-    for j in range(a.cols):
-        support = {i + 1 for i in range(a.rows) if a.at(i, j)}
-        if support <= rows:
-            out.append(a.rows + j + 1)
-    return frozenset(out)
+    return frozenset(_closure(a.rows, _column_supports(a), rows))
+
+
+def _column_supports(a: IntMatrix) -> list[int]:
+    """Row support of each column of A as a bitmask: bit i-1 is set when A[i][j] = 1."""
+    return [sum(1 << i for i in range(a.rows) if a.at(i, j)) for j in range(a.cols)]
+
+
+def _closure(r: int, supports: list[int], subset: Iterable[int]) -> tuple[int, ...]:
+    """Bound-matrix rows r+j (1-based, ascending) of the columns supported inside subset."""
+    inside = sum(1 << (i - 1) for i in subset)
+    # Built from a list: tuple() over a generator here let peak RSS creep up with every search.
+    return tuple([r + j + 1 for j, s in enumerate(supports) if not s & ~inside])
 
 
 class SubsetSearchRefused(ValueError):
     """Raised when the exact subset enumeration would be too large."""
-
-
-def _subset_value(m_rows: list[list[int]], a: IntMatrix, subset: tuple[int, ...], p: int):
-    r = a.rows
-    closure = sorted(closure_columns(a, subset))
-    picked = [m_rows[i - 1] for i in subset] + [m_rows[i - 1] for i in closure]
-    x_s = _rank_rows_mod_p(picked, p)
-    return Fraction(len(subset), x_s), closure, x_s
 
 
 def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
@@ -129,12 +132,15 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     is deterministic.  Returns (value, S, closure rows, x_S).
     """
     m_rows = bound_matrix(a).to_lists()
+    supports = _column_supports(a)
     best = None
     for size in range(1, min(max_size, a.rows) + 1):
         for subset in combinations(range(1, a.rows + 1), size):
-            value, closure, x_s = _subset_value(m_rows, a, subset, field.p)
+            closure = _closure(a.rows, supports, subset)
+            x_s = _rank_rows_mod_p([m_rows[i - 1] for i in subset + closure], field.p)
+            value = Fraction(size, x_s)
             if best is None or value < best[0]:
-                best = (value, subset, tuple(closure), x_s)
+                best = (value, subset, closure, x_s)
     assert best is not None
     return best
 
@@ -280,9 +286,7 @@ def family_bound(struct: IncidenceStructure, kind: str, field: PrimeField) -> Bo
     else:
         gram = a.mul(at)
         expected = lam - 1
-    supp = IntMatrix(
-        gram.rows, gram.cols, tuple(1 if x > 0 else 0 for x in gram.entries)
-    )
+    supp = _support(gram)
     for i in range(gram.rows):
         for j in range(gram.cols):
             want = expected + supp.at(i, j) if i == j else supp.at(i, j)

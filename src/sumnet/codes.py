@@ -13,7 +13,9 @@ decoder matrices over GF(p):
   congruent to its support indicator mod p.
 * ``build_graph_transpose_code`` -- the (b', b'+v') code for the
   transposed network of an irregular graph, where P' collects vertices
-  with degree not congruent to 1 and B' the edges meeting them.
+  with degree not congruent to 1 and B' the edges meeting them.  It is
+  the transfer construction restricted to the B' x P' block: only the
+  bottlenecks of B' ferry pieces, and only of the P' messages.
 
 ``lift_code`` spreads a base code over alpha parallel edges per link,
 multiplying the rate by alpha.
@@ -357,6 +359,36 @@ def _weight_pieces(dec: Decoder, j: int, n: int, piece, slot, coeff: int, p: int
 # the three constructions
 
 
+def _assemble_transfer(
+    a: IntMatrix, p: int, row_ids: Sequence[int], col_ids: Sequence[int], d: IntMatrix,
+    mu: Sequence[int],
+) -> NetworkCode:
+    """The partial-sum + transfer code whose rows ``row_ids`` ferry pieces of the
+    ``col_ids`` messages as margin matrix ``d`` allocates.  Column j's message
+    sits mu[j-1] extra times in the partial sums at its terminal: the decoder
+    weights its pieces by -mu[j-1], and a column off the block needs mu = 0 mod p."""
+    r, c = a.rows, a.cols
+    m, n = len(row_ids), len(row_ids) + len(col_ids)
+    piece, slot = _piece_layout(d, row_ids, col_ids, base=m)
+
+    encoders = []
+    for i in range(1, r + 1):
+        enc = _partial_sum_encoder(a, i, m, n)
+        used = _ferry_pieces(enc, r, i, m, piece, slot)
+        assert used == (n - m if i in row_ids else 0)  # margins fill the extra components
+        encoders.append(enc)
+
+    decoders = _sum_decoders(a, m, n)
+    for j in range(1, c + 1):
+        if j in col_ids:
+            covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, -mu[j - 1], p)
+            assert covered == m  # the pieces of the column message partition [m]
+        else:
+            assert mu[j - 1] % p == 0  # partial sums already aligned
+
+    return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
+
+
 def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     """The (r, r+c) partial-sum + piecewise-transfer code.
 
@@ -385,25 +417,7 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
             f"{c} and column sums {r} exists on the support of A"
         )
     check_transfer_matrix(d, a)
-    m, n = r, r + c
-    piece, slot = _piece_layout(d, range(1, r + 1), range(1, c + 1), base=r)
-
-    encoders = []
-    for i in range(1, r + 1):
-        enc = _partial_sum_encoder(a, i, m, n)
-        used = _ferry_pieces(enc, r, i, m, piece, slot)
-        assert used == c  # transfer row sums fill the extra components exactly
-        encoders.append(enc)
-
-    decoders = _sum_decoders(a, m, n)
-    for j in range(1, c + 1):
-        # weight -mu on the pieces cancels the mu extra copies of the column
-        # message in the partial sums
-        mu = residue.diagonal[j - 1]
-        covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, -mu, p)
-        assert covered == m  # the pieces of the column message partition [m]
-
-    return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
+    return _assemble_transfer(a, p, range(1, r + 1), range(1, c + 1), d, residue.diagonal)
 
 
 def build_scalar_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
@@ -427,10 +441,11 @@ def build_graph_transpose_code(
 ) -> NetworkCode:
     """The (b', b'+v') code for the transposed network of a graph.
 
-    Bottlenecks correspond to edges of the graph; every bottleneck carries
-    the partial sum of its edge message and endpoint messages, and the
-    bottlenecks of B' additionally ferry the messages of the P' vertices
-    in pieces allocated by a margin matrix on the B' x P' submatrix.
+    This is the transfer construction on the B' x P' block.  Bottlenecks
+    correspond to edges of the graph; every bottleneck carries the partial
+    sum of its edge message and endpoint messages, and the bottlenecks of
+    B' additionally ferry the messages of the P' vertices in pieces
+    allocated by a margin matrix on the B' x P' submatrix.
     """
     from .bounds import graph_transpose_sets  # local import avoids a cycle
 
@@ -441,8 +456,6 @@ def build_graph_transpose_code(
             f"every vertex degree is 1 mod {p}: the scalar code applies instead"
         )
     a = graph.matrix.transpose()  # rows = edges (blocks), cols = vertices
-    r, c = a.rows, a.cols
-    degs = [graph.point_degree(v) for v in range(1, graph.num_points + 1)]
     vprime, bprime = len(p_prime), len(b_prime)
     sub = a.submatrix([i - 1 for i in b_prime], [j - 1 for j in p_prime])
     d = find_margin_matrix(sub, vprime, bprime)
@@ -452,25 +465,9 @@ def build_graph_transpose_code(
             "exists on the B' x P' submatrix"
         )
     check_transfer_matrix(d, sub, row_total=vprime, col_total=bprime)
-    m, n = bprime, bprime + vprime
-    piece, slot = _piece_layout(d, b_prime, p_prime, base=m)
-
-    encoders = []
-    for i in range(1, r + 1):
-        enc = _partial_sum_encoder(a, i, m, n)
-        _ferry_pieces(enc, r, i, m, piece, slot)
-        encoders.append(enc)
-
-    decoders = _sum_decoders(a, m, n)
-    for j in range(1, c + 1):
-        if j in p_prime:
-            correction = 1 - degs[j - 1]  # cancels the extra (deg-1) copies
-            covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, correction, p)
-            assert covered == m
-        else:
-            assert degs[j - 1] % p == 1 % p  # partial sums already aligned
-
-    return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
+    # Vertex j's message sits deg(j) - 1 extra times in its partial sums.
+    mu = [graph.point_degree(v) - 1 for v in range(1, graph.num_points + 1)]
+    return _assemble_transfer(a, p, b_prime, p_prime, d, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -173,22 +173,11 @@ def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
         for j in range(1, c + 1):
             if a.at(i - 1, j - 1):
                 edges.append(Edge(f"head_e{i}", col_terminal(j), alpha, 0))
-    for i in range(1, r + 1):
-        for ip in range(1, r + 1):
-            if ip != i:
-                edges.append(Edge(row_source(ip), row_terminal(i), alpha, 0))
-        for j in range(1, c + 1):
-            if a.at(i - 1, j - 1) == 0:
-                edges.append(Edge(col_source(j), row_terminal(i), alpha, 0))
-    for j in range(1, c + 1):
-        for i in range(1, r + 1):
-            if a.at(i - 1, j - 1) == 0:
-                edges.append(Edge(row_source(i), col_terminal(j), alpha, 0))
-        for jp in range(1, c + 1):
-            if jp != j and _columns_disjoint(a, j - 1, jp - 1):
-                edges.append(Edge(col_source(jp), col_terminal(j), alpha, 0))
-        # Nonzero columns never pair with themselves.
-        assert not _columns_disjoint(a, j - 1, j - 1)
+    # Direct edges: every input of a terminal's decoder that is not a bottleneck.
+    inputs = [(row_terminal(i), row_terminal_inputs(a, i)) for i in range(1, r + 1)]
+    inputs += [(col_terminal(j), col_terminal_inputs(a, j)) for j in range(1, c + 1)]
+    for terminal, labels in inputs:
+        edges += [Edge(x, terminal, alpha, 0) for x in labels if not x.startswith("e")]
 
     return SumNetwork(a, alpha, tuple(nodes), tuple(edges))
 

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .codes import NetworkCode
+from .gf import is_prime
 from .network import SumNetwork, bottleneck_sources, source_offset
 
 _MASK = (1 << 64) - 1
@@ -131,6 +132,9 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
             f"characteristic p={code.p} is too large for exact int64 verification: "
             f"(p-1)^2 * {inner} must stay below 2^63, so p <= {limit} for this code"
         )
+    # Over Z/p with p not prime (p = 1 makes every map zero) a passing check proves nothing.
+    if not is_prime(code.p):
+        raise ValueError(f"characteristic p={code.p} is not a prime: codes are checked over GF(p)")
 
 
 def _check_locality(net: SumNetwork, code: NetworkCode) -> None:

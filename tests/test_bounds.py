@@ -256,3 +256,14 @@ def test_limited_search_at_full_size_equals_exact_search(a, char):
             terms.append((Fraction(size, x_s), size, subset))
     best, _, subset = min(terms)
     assert (exact.bound, exact.subset) == (best, subset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=zero_one_matrices(), data=st.data())
+def test_closure_columns_matches_the_set_definition(a, data):
+    # The subset search derives its closures the same way, so the property
+    # above relies on this independent check of the definition.
+    subset = data.draw(st.sets(st.integers(1, a.rows)), label="subset")
+    want = {a.rows + j + 1 for j in range(a.cols)
+            if {i + 1 for i in range(a.rows) if a.at(i, j)} <= subset}
+    assert closure_columns(a, subset) == want

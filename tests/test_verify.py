@@ -14,6 +14,8 @@ from sumnet.codes import (
     NetworkCode,
     build_scalar_code,
     build_transfer_code,
+    export_code,
+    import_code,
     lift_code,
 )
 from sumnet.gf import PrimeField, is_prime
@@ -223,6 +225,22 @@ def test_int64_limit_is_tight():
     assert verify_random(net, code, 20, 7).ok
     with pytest.raises(ValueError, match=f"p <= {limit}"):
         verify_exact(net, build_transfer_code(K2_MATRIX, PrimeField(above)))
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_verifiers_refuse_non_prime_characteristics(p):
+    # Over Z/1 every map is zero and Z/4 is not a field: neither check would prove anything.
+    text = export_code(build_transfer_code(K2_MATRIX, PrimeField(3)))
+    code = import_code(text.replace("\np 3\n", f"\np {p}\n"))
+    assert code.p == p
+    net = build_sum_network(K2_MATRIX)
+    for check in (
+        lambda: verify_exact(net, code),
+        lambda: verify_random(net, code, 5, 1),
+        lambda: exhaustive_oracle(net, code, 10**6),
+    ):
+        with pytest.raises(ValueError, match=f"p={p} is not a prime"):
+            check()
 
 
 def test_verify_random_rejects_negative_trials():
