@@ -19,6 +19,7 @@ from sumnet.bounds import (
     subset_bound_limited,
     support_product,
 )
+from sumnet.codes import overlap_residue
 from sumnet.gf import IntMatrix, PrimeField, rank_mod_p
 from sumnet.incidence import (
     all_subsets_design,
@@ -228,9 +229,9 @@ def test_family_kind_validation():
 
 
 @st.composite
-def zero_one_matrices(draw):
-    r = draw(st.integers(1, 8))
-    c = draw(st.integers(1, 6))
+def zero_one_matrices(draw, max_rows=8, max_cols=6):
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=c, max_size=c),
                          min_size=r, max_size=r))
     return IntMatrix.from_rows(rows)
@@ -267,3 +268,19 @@ def test_closure_columns_matches_the_set_definition(a, data):
     want = {a.rows + j + 1 for j in range(a.cols)
             if {i + 1 for i in range(a.rows) if a.at(i, j)} <= subset}
     assert closure_columns(a, subset) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=zero_one_matrices(max_rows=7, max_cols=8), char=st.sampled_from([2, 3, 5, 7]))
+def test_overlap_facts_match_the_integer_gram(a, char):
+    # Reference: the integer Gram A^T A by plain matrix multiplication.
+    gram = a.transpose().mul(a).to_lists()
+    supp = [[1 if x > 0 else 0 for x in row] for row in gram]
+    assert support_product(a.transpose(), a).to_lists() == supp
+    diff = [[(x - s) % char for x, s in zip(row, srow)] for row, srow in zip(gram, supp)]
+    residue = overlap_residue(a, PrimeField(char))
+    assert residue.diagonal == tuple(diff[j][j] for j in range(a.cols))
+    assert residue.is_diagonal == all(
+        diff[i][j] == 0 for i in range(a.cols) for j in range(a.cols) if i != j
+    )
+    assert [row[a.rows:] for row in bound_matrix(a).to_lists()[a.rows:]] == supp

@@ -3,8 +3,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG4A_MATRIX, mat
+from sumnet.gf import IntMatrix
 from sumnet.network import (
     SumNetwork,
     build_sum_network,
@@ -228,3 +231,42 @@ def test_terminal_inputs_order():
     assert net.terminal_inputs("t_B5") == ["e1", "e3", "s_p2", "s_p4"]
     with pytest.raises(ValueError):
         net.terminal_inputs("s_p1")
+
+
+@st.composite
+def matrices_without_zero_lines(draw):
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    for row in rows:
+        if not any(row):
+            row[draw(st.integers(0, c - 1))] = 1
+    for j in range(c):
+        if not any(row[j] for row in rows):
+            rows[draw(st.integers(0, r - 1))][j] = 1
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=matrices_without_zero_lines())
+def test_terminal_inputs_are_the_in_edges_and_the_unseen_sources(a):
+    net = build_sum_network(a)
+    r, c = a.rows, a.cols
+    for terminal in net.terminals():
+        got = net.terminal_inputs(terminal)
+        # The in-edges, in edge order, with a relay head named by its bottleneck.
+        in_edges = [e.tail.replace("head_", "") for e in net.edges if e.head == terminal]
+        assert got == in_edges
+        # The set definition: incident bottlenecks, then every source they do not carry.
+        k = int(terminal[3:])
+        if terminal.startswith("t_p"):
+            incident = [k]
+        else:
+            incident = [i for i in range(1, r + 1) if a.at(i - 1, k - 1)]
+        seen_rows = set(incident)
+        seen_cols = {j for i in incident for j in range(1, c + 1) if a.at(i - 1, j - 1)}
+        want = [f"e{i}" for i in incident]
+        want += [f"s_p{i}" for i in range(1, r + 1) if i not in seen_rows]
+        want += [f"s_B{j}" for j in range(1, c + 1) if j not in seen_cols]
+        assert got == want
