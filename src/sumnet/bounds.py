@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .gf import IntMatrix, PrimeField, _rank_rows_mod_p
+from .gf import IntMatrix, PrimeField, _rank_rows_mod_p, column_masks
 from .incidence import IncidenceStructure, validate_design
 
 FAMILY_KINDS = (
@@ -60,16 +60,15 @@ class BoundResult:
         return " ".join(parts)
 
 
-def _support(m: IntMatrix) -> IntMatrix:
-    """Entrywise indicator of the positive entries."""
-    return IntMatrix(m.rows, m.cols, tuple(1 if x > 0 else 0 for x in m.entries))
-
-
 def support_product(n1: IntMatrix, n2: IntMatrix) -> IntMatrix:
     """Entrywise indicator that the integer product n1 @ n2 is positive."""
     if not (n1.is_zero_one() and n2.is_zero_one()):
         raise ValueError("support product expects (0,1)-matrices")
-    return _support(n1.mul(n2))
+    if n1.cols != n2.rows:
+        raise ValueError("inner dimensions disagree")
+    # Entry (i, j) is positive exactly when row i of n1 and column j of n2 meet.
+    rows, cols = column_masks(n1.transpose()), column_masks(n2)
+    return IntMatrix(n1.rows, n2.cols, tuple(1 if x & y else 0 for x in rows for y in cols))
 
 
 def bound_matrix(a: IntMatrix) -> IntMatrix:
@@ -106,12 +105,7 @@ def closure_columns(a: IntMatrix, subset: Iterable[int]) -> frozenset[int]:
     rows = set(subset)
     if not rows <= set(range(1, a.rows + 1)):
         raise ValueError("subset must contain row indices in 1..r")
-    return frozenset(_closure(a.rows, _column_supports(a), rows))
-
-
-def _column_supports(a: IntMatrix) -> list[int]:
-    """Row support of each column of A as a bitmask: bit i-1 is set when A[i][j] = 1."""
-    return [sum(1 << i for i in range(a.rows) if a.at(i, j)) for j in range(a.cols)]
+    return frozenset(_closure(a.rows, column_masks(a), rows))
 
 
 def _closure(r: int, supports: list[int], subset: Iterable[int]) -> tuple[int, ...]:
@@ -132,7 +126,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     is deterministic.  Returns (value, S, closure rows, x_S).
     """
     m_rows = bound_matrix(a).to_lists()
-    supports = _column_supports(a)
+    supports = column_masks(a)
     best = None
     for size in range(1, min(max_size, a.rows) + 1):
         for subset in combinations(range(1, a.rows + 1), size):
@@ -271,26 +265,22 @@ def family_bound(struct: IncidenceStructure, kind: str, field: PrimeField) -> Bo
     # Subset-vs-block structures: row sums lam, column sums t+1, and the
     # closed forms require the two overlap identities to hold exactly.
     a = struct.matrix
-    col_sums = {sum(a.col(j)) for j in range(a.cols)}
-    row_sums = {sum(a.row(i)) for i in range(a.rows)}
+    col_masks, row_masks = column_masks(a), column_masks(a.transpose())
+    col_sums = {x.bit_count() for x in col_masks}
+    row_sums = {x.bit_count() for x in row_masks}
     if len(col_sums) != 1 or len(row_sums) != 1:
         raise ValueError("not a higher incidence structure: sums not uniform")
     t = col_sums.pop() - 1
     lam = row_sums.pop()
     if t < 1 or lam < 2:
         raise ValueError("not a higher incidence structure")
-    at = a.transpose()
-    if kind == "higher-normal":
-        gram = at.mul(a)
-        expected = t
-    else:
-        gram = a.mul(at)
-        expected = lam - 1
-    supp = _support(gram)
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            want = expected + supp.at(i, j) if i == j else supp.at(i, j)
-            if gram.at(i, j) != want:
+    # Gram entries are mask overlaps: A^T A of the columns, A A^T of the rows.
+    masks, expected = (col_masks, t) if kind == "higher-normal" else (row_masks, lam - 1)
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            overlap = (x & y).bit_count()
+            want = (1 if overlap else 0) + (expected if i == j else 0)
+            if overlap != want:
                 raise ValueError("overlap pattern does not match a higher incidence structure")
     if kind == "higher-normal":
         if t % p == 0:

@@ -246,6 +246,8 @@ def _format_bound(result: bounds_mod.BoundResult) -> str:
 def cmd_bound(args) -> int:
     struct, family, label = _instance_from_flags(args)
     orientation = _orientation(args)
+    if args.max_subset_size < 0:
+        raise CliError(f"--max-subset-size must be nonnegative, got {args.max_subset_size}")
     a = orient_matrix(struct, orientation)
     for p in _parse_chars(args.char):
         field = PrimeField(p)

@@ -29,21 +29,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf import IntMatrix, PrimeField
+from .gf import IntMatrix, PrimeField, column_masks
 from .incidence import IncidenceStructure
 from .network import (
     _max_flow,
     bottleneck_sources,
     col_source,
     col_terminal,
-    col_terminal_inputs,
-    row_terminal,
-    row_terminal_inputs,
     source_offset,
+    terminal_inputs,
 )
 
 __all__ = [
@@ -154,20 +153,13 @@ class OverlapResidue:
 
 
 def overlap_residue(a: IntMatrix, field: PrimeField) -> OverlapResidue:
-    at = a.transpose()
-    gram = at.mul(a)
     p = field.p
-    diag = []
-    off_ok = True
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            x = gram.at(i, j)
-            res = (x - (1 if x > 0 else 0)) % p
-            if i == j:
-                diag.append(res)
-            elif res != 0:
-                off_ok = False
-    return OverlapResidue(p, off_ok, tuple(diag))
+    masks = column_masks(a)
+    # Entry (i, j) of the symmetric A^T A is the overlap x of columns i and j;
+    # subtracting its support indicator leaves max(x - 1, 0).
+    diag = tuple(max(x.bit_count() - 1, 0) % p for x in masks)
+    off_ok = all(max((x & y).bit_count() - 1, 0) % p == 0 for x, y in combinations(masks, 2))
+    return OverlapResidue(p, off_ok, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +239,14 @@ def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
     r, c = a.rows, a.cols
     if r + c > 24:
         raise ValueError(f"refusing enumeration: r+c = {r + c} exceeds 24")
-    row_masks = []
-    for i in range(r):
-        mask = 0
-        for j in range(c):
-            if a.at(i, j):
-                mask |= 1 << j
-        row_masks.append(mask)
+    row_masks = column_masks(a.transpose())
     for imask in range(1 << r):
         touched = 0
-        size_i = 0
         for i in range(r):
             if imask >> i & 1:
                 touched |= row_masks[i]
-                size_i += 1
-        free_cols = c - bin(touched).count("1")
-        if (r - size_i) * c < free_cols * r:
+        free_cols = c - touched.bit_count()
+        if (r - imask.bit_count()) * c < free_cols * r:
             return False
     return True
 
@@ -325,10 +309,8 @@ def _ferry_pieces(enc: np.ndarray, r: int, i: int, m: int, piece, slot) -> int:
 
 def _sum_decoders(a: IntMatrix, m: int, n: int) -> dict[str, Decoder]:
     """Every terminal's decoder, adding the first m components of each input bundle."""
-    inputs = {row_terminal(i): row_terminal_inputs(a, i) for i in range(1, a.rows + 1)}
-    inputs.update({col_terminal(j): col_terminal_inputs(a, j) for j in range(1, a.cols + 1)})
     decoders = {}
-    for terminal, ins in inputs.items():
+    for terminal, ins in terminal_inputs(a).items():
         mat = np.zeros((m, n * len(ins)), dtype=np.int64)
         for pos in range(len(ins)):
             mat[range(m), range(pos * n, pos * n + m)] = 1
@@ -538,6 +520,15 @@ def export_code(code: NetworkCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_matrix(lines: Sequence[str], name: str) -> np.ndarray:
+    """Integer rows of a code matrix.  Entries outside [0, 2^63) cannot be held
+    by an int64 matrix and are refused here; the verifiers refuse those >= p."""
+    rows = [list(map(int, line.split())) for line in lines]
+    if any(min(row, default=0) < 0 or max(row, default=0) >= 1 << 63 for row in rows):
+        raise ValueError(f"{name} has an entry outside [0, 2^63)")
+    return np.array(rows, dtype=np.int64)
+
+
 def import_code(text: str) -> NetworkCode:
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "sumnet-code v1":
@@ -558,11 +549,8 @@ def import_code(text: str) -> NetworkCode:
         if lines[pos] != f"encoder e{i}":
             raise ValueError(f"expected encoder e{i} at line {pos + 1}")
         pos += 1
-        mat = []
-        for _ in range(alpha * n):
-            mat.append([int(x) for x in lines[pos].split()])
-            pos += 1
-        arr = np.array(mat, dtype=np.int64)
+        arr = _parse_matrix(lines[pos : pos + alpha * n], f"encoder e{i}")
+        pos += alpha * n
         if arr.shape != (alpha * n, width):
             raise ValueError(f"encoder e{i} has shape {arr.shape}")
         encoders.append(arr)
@@ -576,11 +564,8 @@ def import_code(text: str) -> NetworkCode:
             raise ValueError("decoder without inputs line")
         inputs = tuple(lines[pos].split()[1:])
         pos += 1
-        mat = []
-        for _ in range(m):
-            mat.append([int(x) for x in lines[pos].split()])
-            pos += 1
-        arr = np.array(mat, dtype=np.int64)
+        arr = _parse_matrix(lines[pos : pos + m], f"decoder {terminal}")
+        pos += m
         if arr.shape != (m, alpha * n * len(inputs)):
             raise ValueError(f"decoder {terminal} has shape {arr.shape}")
         decoders[terminal] = Decoder(inputs, arr)

@@ -180,6 +180,17 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
+def column_masks(m: IntMatrix) -> list[int]:
+    """Row support of each column of a (0,1)-matrix as an int bitmask (bit i-1: row i).
+
+    Every overlap fact is read from these masks: entry (j, k) of the Gram
+    m^T m is ``(mask_j & mask_k).bit_count()``.  Pass m^T for the rows.
+    """
+    if not m.is_zero_one():
+        raise ValueError("expected a (0,1)-matrix")
+    return [sum(1 << i for i, x in enumerate(m.col(j)) if x) for j in range(m.cols)]
+
+
 def _rank_rows_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank of a list of rows over GF(p).
 

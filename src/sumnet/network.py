@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .gf import IntMatrix
+from .gf import IntMatrix, column_masks
 
 
 class Edge(NamedTuple):
@@ -62,29 +63,30 @@ def bottleneck_sources(a: IntMatrix, i: int) -> list[str]:
     return [row_source(i)] + [col_source(j) for j in range(1, a.cols + 1) if a.at(i - 1, j - 1)]
 
 
-def _columns_disjoint(a: IntMatrix, j: int, jp: int) -> bool:
-    # Inner product of columns over the integers.
-    return all(x * y == 0 for x, y in zip(a.col(j), a.col(jp)))
+def terminal_inputs(a: IntMatrix) -> dict[str, list[str]]:
+    """Canonical input order at every terminal, t_p1..t_pr then t_B1..t_Bc.
 
-
-def row_terminal_inputs(a: IntMatrix, i: int) -> list[str]:
-    """Canonical input order at t_p<i>: its bottleneck, then direct sources."""
-    ins = [f"e{i}"]
-    ins += [row_source(ip) for ip in range(1, a.rows + 1) if ip != i]
-    ins += [col_source(j) for j in range(1, a.cols + 1) if a.at(i - 1, j - 1) == 0]
-    return ins
-
-
-def col_terminal_inputs(a: IntMatrix, j: int) -> list[str]:
-    """Canonical input order at t_B<j>: incident bottlenecks, then direct sources."""
-    ins = [f"e{i}" for i in range(1, a.rows + 1) if a.at(i - 1, j - 1) == 1]
-    ins += [row_source(i) for i in range(1, a.rows + 1) if a.at(i - 1, j - 1) == 0]
-    ins += [
-        col_source(jp)
-        for jp in range(1, a.cols + 1)
-        if jp != j and _columns_disjoint(a, j - 1, jp - 1)
-    ]
-    return ins
+    A terminal reads its incident bottlenecks e<i>, then a direct edge from
+    every source they do not carry: row sources, then column sources.  t_p<i>
+    misses the other rows and the columns off row i; t_B<j> misses the rows
+    off column j and the columns disjoint from it.
+    """
+    masks = column_masks(a)
+    # One string per label, shared by every list that names it.
+    bottlenecks = [f"e{i}" for i in range(1, a.rows + 1)]
+    rows = [row_source(i) for i in range(1, a.rows + 1)]
+    cols = [col_source(j) for j in range(1, a.cols + 1)]
+    inputs = {}
+    for i, e in enumerate(bottlenecks):
+        ins = [e] + rows[:i] + rows[i + 1 :]
+        ins += [s for s, x in zip(cols, masks) if not x >> i & 1]
+        inputs[row_terminal(i + 1)] = ins
+    for j, x in enumerate(masks):
+        ins = [e for i, e in enumerate(bottlenecks) if x >> i & 1]
+        ins += [s for i, s in enumerate(rows) if not x >> i & 1]
+        ins += [s for k, (s, y) in enumerate(zip(cols, masks)) if k != j and not x & y]
+        inputs[col_terminal(j + 1)] = ins
+    return inputs
 
 
 @dataclass(frozen=True)
@@ -120,17 +122,20 @@ class SumNetwork:
                 return role
         raise KeyError(node)
 
+    @cached_property
+    def inputs(self) -> dict[str, list[str]]:
+        """Every terminal's inputs in the fixed decoder order (``terminal_inputs``)."""
+        return terminal_inputs(self.matrix)
+
     def terminal_inputs(self, terminal: str) -> list[str]:
         """Inputs feeding a terminal, in the fixed decoder order.
 
         Bottleneck bundles are named ``e<i>``; a direct edge is named by
         its source node.
         """
-        if terminal.startswith("t_p"):
-            return row_terminal_inputs(self.matrix, int(terminal[3:]))
-        if terminal.startswith("t_B"):
-            return col_terminal_inputs(self.matrix, int(terminal[3:]))
-        raise ValueError(f"{terminal} is not a terminal")
+        if terminal not in self.inputs:
+            raise ValueError(f"{terminal} is not a terminal")
+        return list(self.inputs[terminal])
 
 
 def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
@@ -174,9 +179,7 @@ def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
             if a.at(i - 1, j - 1):
                 edges.append(Edge(f"head_e{i}", col_terminal(j), alpha, 0))
     # Direct edges: every input of a terminal's decoder that is not a bottleneck.
-    inputs = [(row_terminal(i), row_terminal_inputs(a, i)) for i in range(1, r + 1)]
-    inputs += [(col_terminal(j), col_terminal_inputs(a, j)) for j in range(1, c + 1)]
-    for terminal, labels in inputs:
+    for terminal, labels in terminal_inputs(a).items():
         edges += [Edge(x, terminal, alpha, 0) for x in labels if not x.startswith("e")]
 
     return SumNetwork(a, alpha, tuple(nodes), tuple(edges))

@@ -135,6 +135,12 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
     # Over Z/p with p not prime (p = 1 makes every map zero) a passing check proves nothing.
     if not is_prime(code.p):
         raise ValueError(f"characteristic p={code.p} is not a prime: codes are checked over GF(p)")
+    # The int64 limit above holds only for entries reduced mod p.
+    matrices = [(f"encoder e{i}", enc) for i, enc in enumerate(code.encoders, start=1)]
+    matrices += [(f"decoder for {t}", dec.matrix) for t, dec in code.decoders.items()]
+    for name, mat in matrices:
+        if mat.size and (mat.min() < 0 or mat.max() >= code.p):
+            raise ValueError(f"{name} has an entry outside [0, {code.p})")
 
 
 def _check_locality(net: SumNetwork, code: NetworkCode) -> None:
@@ -145,11 +151,11 @@ def _check_locality(net: SumNetwork, code: NetworkCode) -> None:
             raise ValueError(
                 f"encoder e{i} uses a message outside the sources feeding it"
             )
-    for terminal in net.terminals():
+    for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
         dec = code.decoders[terminal]
-        expected = tuple(net.terminal_inputs(terminal))
+        expected = tuple(ins)
         if dec.inputs != expected:
             raise ValueError(
                 f"decoder for {terminal} reads {dec.inputs}, expected {expected}"

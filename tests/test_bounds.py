@@ -277,6 +277,7 @@ def test_overlap_facts_match_the_integer_gram(a, char):
     gram = a.transpose().mul(a).to_lists()
     supp = [[1 if x > 0 else 0 for x in row] for row in gram]
     assert support_product(a.transpose(), a).to_lists() == supp
+    assert support_product(a, IntMatrix.identity(a.cols)) == a  # not symmetric
     diff = [[(x - s) % char for x, s in zip(row, srow)] for row, srow in zip(gram, supp)]
     residue = overlap_residue(a, PrimeField(char))
     assert residue.diagonal == tuple(diff[j][j] for j in range(a.cols))

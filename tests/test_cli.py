@@ -100,6 +100,13 @@ def test_bound_subset_refusal_and_limited_mode(capsys):
     assert "subset" in out and "|S|<=1" in out
 
 
+def test_bound_rejects_negative_subset_size_before_any_output(capsys):
+    status, out, err = run(capsys, "bound", "--k2", "--char", "2", "--max-subset-size", "-1")
+    assert status == 1
+    assert "--max-subset-size must be nonnegative" in err
+    assert out == ""
+
+
 def test_bound_prime_power_note(capsys):
     status, out, _ = run(capsys, "bound", "--k2", "--normal", "--char", "4")
     assert status == 0

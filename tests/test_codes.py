@@ -313,6 +313,15 @@ def test_import_code_rejects_garbage():
         import_code(good.replace("end", ""))
 
 
+@pytest.mark.parametrize("entry", [2**64, -1])
+def test_import_code_refuses_entries_an_int64_matrix_cannot_hold(entry):
+    lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
+    row = lines.index("encoder e1") + 1
+    lines[row] = " ".join([str(entry)] + lines[row].split()[1:])
+    with pytest.raises(ValueError, match="encoder e1 has an entry outside"):
+        import_code("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # every generated code, on random graphs
 

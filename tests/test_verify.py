@@ -243,6 +243,31 @@ def test_verifiers_refuse_non_prime_characteristics(p):
             check()
 
 
+@pytest.mark.parametrize("target,entry", [
+    ("encoder e1", 1 + 3 * 2**61),
+    ("encoder e1", -2),
+    ("decoder for t_B1", 4),
+])
+def test_verifiers_refuse_entries_outside_the_field(target, entry):
+    # Each entry is congruent to an honest one mod 3, but the int64 limit
+    # assumes entries below p: 1 + 3*2^61 makes enc @ x wrap around.
+    code = build_transfer_code(K2_MATRIX, PrimeField(3))
+    encoders = [e.copy() for e in code.encoders]
+    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    mat = encoders[0] if target == "encoder e1" else decoders["t_B1"].matrix
+    mat[0][mat[0] == entry % 3] = entry
+    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                      tuple(encoders), decoders)
+    net = build_sum_network(K2_MATRIX)
+    for check in (
+        lambda: verify_exact(net, bad),
+        lambda: verify_random(net, bad, 50, 1),
+        lambda: exhaustive_oracle(net, bad, 10**6),
+    ):
+        with pytest.raises(ValueError, match=rf"{target} has an entry outside \[0, 3\)"):
+            check()
+
+
 def test_verify_random_rejects_negative_trials():
     net = build_sum_network(K2_MATRIX)
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
