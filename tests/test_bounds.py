@@ -285,3 +285,39 @@ def test_overlap_facts_match_the_integer_gram(a, char):
         diff[i][j] == 0 for i in range(a.cols) for j in range(a.cols) if i != j
     )
     assert [row[a.rows:] for row in bound_matrix(a).to_lists()[a.rows:]] == supp
+
+
+def _brute_force_terms(a, field, max_size):
+    """Every (|S|/x_S, |S|, S, closure, x_S) with |S| <= max_size, x_S from the bound matrix."""
+    block = bound_matrix(a)
+    terms = []
+    for size in range(1, min(max_size, a.rows) + 1):
+        for subset in combinations(range(1, a.rows + 1), size):
+            closure = tuple(sorted(closure_columns(a, subset)))
+            picked = [i - 1 for i in subset + closure]
+            x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
+            terms.append((Fraction(size, x_s), size, subset, closure, x_s))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=zero_one_matrices(max_rows=9, max_cols=11), char=st.sampled_from([2, 3, 5, 7]))
+def test_subset_search_matches_brute_force_at_every_size_limit(a, char):
+    # Zero rows and zero columns are drawn too: a zero column lies in every closure.
+    field = PrimeField(char)
+    terms = _brute_force_terms(a, field, a.rows)
+    for k in range(1, a.rows + 1):
+        value, _, subset, closure, x_s = min(t for t in terms if t[1] <= k)
+        got = subset_bound_limited(a, field, k)
+        assert (got.bound, got.subset, got.closure, got.x_s) == (value, subset, closure, x_s)
+    assert rank_bound(a, field).rank_defect == rank_mod_p(bound_matrix(a), field) - a.rows
+
+
+def test_limited_subset_search_on_star_composite_pairs():
+    # r = 32 rows: the exact search is refused, but |S| <= 2 covers C(32, 2) pairs.
+    a = star_composite().matrix.transpose()
+    for p in (2, 3):
+        field = PrimeField(p)
+        value, _, subset, closure, x_s = min(_brute_force_terms(a, field, 2))
+        got = subset_bound_limited(a, field, 2)
+        assert (got.bound, got.subset, got.closure, got.x_s) == (value, subset, closure, x_s)
