@@ -8,9 +8,18 @@ All bounds are driven by the rank over GF(p) of the square block matrix
 where supp(.) replaces every positive integer entry with 1.  The plain
 rank bound is r / rank; the subset bound minimizes |S|/x_S over row
 subsets S, where x_S is the rank of the rows indexed by S together with
-the rows of every column whose support lies inside S.  The family bounds
-are the closed forms these reduce to for graphs, 2-(v,k,1) designs,
-general t-designs and subset-vs-block structures.
+the rows of every column whose support lies inside S (the closure C(S)).
+The family bounds are the closed forms these reduce to for graphs,
+2-(v,k,1) designs, general t-designs and subset-vs-block structures.
+
+Neither bound builds the block matrix.  Subtracting the S rows [e_i | A_i]
+over i in supp(j) from the row [A_j^T | supp_j] of a closed column j
+leaves [0 | -R_j], where R = supp(A^T A) - A^T A is the overlap residue.
+So x_S = |S| + rank_p R[C(S), :], and the rank bound is
+r / (r + rank_p R).  Only closed row sets need searching: the union U of
+the supports of C(S) has C(U) = C(S) and |U| <= |S|, so U's value is no
+larger and U comes no later in the tie-break.  The minimizer is therefore
+a union of column supports, or the singleton {1} when every value is 1.
 
 Row subsets and witness indices are reported 1-based; a column witness is
 reported by its row index r+j inside the block matrix.
@@ -20,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional
 
-from .gf import IntMatrix, PrimeField, _rank_rows_mod_p, column_masks
+from .gf import IntMatrix, PrimeField, column_masks
 from .incidence import IncidenceStructure, validate_design
 
 FAMILY_KINDS = (
@@ -85,14 +93,51 @@ def bound_matrix(a: IntMatrix) -> IntMatrix:
 
 
 def rank_bound(a: IntMatrix, field: PrimeField) -> BoundResult:
-    """Upper bound r / rank(bound matrix) over GF(p); always at most 1."""
-    r = a.rows
-    m = bound_matrix(a)
-    rank = _rank_rows_mod_p(m.to_lists(), field.p)
-    assert rank >= r  # the identity block keeps the first r rows independent
+    """Upper bound r / rank(bound matrix) = r / (r + rank_p R) over GF(p); at most 1."""
+    basis: dict[int, dict[int, int]] = {}
+    defect = sum(_extend(basis, row, field.p) for row in _residue_rows(column_masks(a), field.p))
     return BoundResult(
-        bound=Fraction(r, rank), char=field.p, via="rank", rank_defect=rank - r
+        bound=Fraction(a.rows, a.rows + defect), char=field.p, via="rank", rank_defect=defect
     )
+
+
+def _residue_rows(supports: list[int], p: int) -> list[dict[int, int]]:
+    """Rows of -R mod p as sparse {column: entry} dicts: max(|supp j & supp k| - 1, 0)."""
+    rows = []
+    for s in supports:
+        row = {}
+        for k, t in enumerate(supports):
+            x = ((s & t).bit_count() - 1) % p if s & t else 0
+            if x:
+                row[k] = x
+        rows.append(row)
+    return rows
+
+
+def _extend(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -> bool:
+    """Add row to an echelon basis over GF(p) if it is independent of it.
+
+    ``basis`` maps each pivot column to a row whose first nonzero entry is
+    a 1 there.  One forward elimination: clear the leading entry of the
+    row while a basis row owns it.  Stored rows are never changed, so a
+    copy of the dict is an independent basis.
+    """
+    v = dict(row)
+    while v:
+        h = min(v)
+        x = v[h]
+        b = basis.get(h)
+        if b is None:
+            inv = pow(x, -1, p)
+            basis[h] = {k: y * inv % p for k, y in v.items()}
+            return True
+        for k, y in b.items():
+            z = (v.get(k, 0) - x * y) % p
+            if z:
+                v[k] = z
+            else:
+                del v[k]
+    return False
 
 
 def closure_columns(a: IntMatrix, subset: Iterable[int]) -> frozenset[int]:
@@ -124,19 +169,80 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
 
     Ties go to smaller |S|, then lexicographically smaller S, so the witness
     is deterministic.  Returns (value, S, closure rows, x_S).
+
+    Visits only the closed row sets (unions of column supports) and {1};
+    the module docstring says why they hold the minimizer.  The search runs
+    depth first over closed column sets by prefix-preserving extension
+    (LCM, Uno et al. 2004): a child adds a column k above its parent's core
+    and is kept only if no column below k closes with it.  Each child
+    extends its parent's residue basis by the rows of the columns it closes.
     """
-    m_rows = bound_matrix(a).to_lists()
+    r, c, p = a.rows, a.cols, field.p
     supports = column_masks(a)
-    best = None
-    for size in range(1, min(max_size, a.rows) + 1):
-        for subset in combinations(range(1, a.rows + 1), size):
-            closure = _closure(a.rows, supports, subset)
-            x_s = _rank_rows_mod_p([m_rows[i - 1] for i in subset + closure], field.p)
-            value = Fraction(size, x_s)
-            if best is None or value < best[0]:
-                best = (value, subset, closure, x_s)
-    assert best is not None
-    return best
+    row_columns = column_masks(a.transpose())  # bit j of row i: column j meets row i
+    residue = _residue_rows(supports, p)
+    limit = min(max_size, r)
+    full = (1 << c) - 1
+    # (row mask, |S|, rank of the closed residue rows).  {1} closes only columns
+    # supported inside one row, whose residue rows are zero, so x_{1} = 1.
+    best = (1, 1, 0)
+    # Pending children: union, closed columns, core, parent basis, columns the
+    # child closes, and the parent's rejections (column k -> a column j < k that
+    # closes with it); a rejection holds while j stays unclosed.
+    empty = sum(1 << j for j, s in enumerate(supports) if not s)
+    stack = [(0, empty, -1, {}, (), {})]
+    while stack:
+        union, closed, core, basis, new, blocked = stack.pop()
+        basis = dict(basis)
+        for j in new:
+            _extend(basis, residue[j], p)
+        size, rank = union.bit_count(), len(basis)
+        b_union, b_size, b_rank = best
+        lhs, rhs = size * (b_size + b_rank), b_size * (size + rank)
+        diff = union ^ b_union
+        if union and (lhs < rhs or lhs == rhs and (
+                size < b_size or size == b_size and union & diff & -diff)):
+            best = (union, size, rank)
+        rejected: dict[int, int] = {}
+        children = []
+        todo = full & ~closed & ~((1 << (core + 1)) - 1)
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            k = bit.bit_length() - 1
+            j = blocked.get(k)
+            if j is not None and not closed >> j & 1:
+                rejected[k] = j
+                continue
+            gained = supports[k] & ~union
+            if size + gained.bit_count() > limit:
+                continue
+            grown = union | gained
+            # A newly closed column meets a gained row; scan them in index order.
+            candidates = 0
+            while gained:
+                low = gained & -gained
+                gained ^= low
+                candidates |= row_columns[low.bit_length() - 1]
+            candidates &= ~closed
+            closes = []
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                j = low.bit_length() - 1
+                if not supports[j] & ~grown:
+                    if j < k:
+                        rejected[k] = j
+                        break
+                    closes.append(j)
+            else:
+                children.append((grown, closed | sum(1 << j for j in closes), k, closes))
+        for grown, child_closed, k, closes in children:
+            stack.append((grown, child_closed, k, basis, closes, rejected))
+    union, size, rank = best
+    # Built from lists: tuple() over a generator let peak RSS creep up per call.
+    subset = tuple([i + 1 for i in range(r) if union >> i & 1])
+    return Fraction(size, size + rank), subset, _closure(r, supports, subset), size + rank
 
 
 def subset_bound(a: IntMatrix, field: PrimeField, exhaustive_limit: int = 20) -> BoundResult:
