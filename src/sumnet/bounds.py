@@ -76,7 +76,7 @@ def support_product(n1: IntMatrix, n2: IntMatrix) -> IntMatrix:
         raise ValueError("inner dimensions disagree")
     # Entry (i, j) is positive exactly when row i of n1 and column j of n2 meet.
     rows, cols = column_masks(n1.transpose()), column_masks(n2)
-    return IntMatrix(n1.rows, n2.cols, tuple(1 if x & y else 0 for x in rows for y in cols))
+    return IntMatrix(n1.rows, n2.cols, tuple([1 if x & y else 0 for x in rows for y in cols]))
 
 
 def bound_matrix(a: IntMatrix) -> IntMatrix:

@@ -131,7 +131,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -149,7 +149,7 @@ class IntMatrix:
         return IntMatrix(
             self.cols,
             self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            tuple([self.at(i, j) for j in range(self.cols) for i in range(self.rows)]),
         )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
@@ -167,7 +167,7 @@ class IntMatrix:
         ri = list(row_idx)
         ci = list(col_idx)
         return IntMatrix(
-            len(ri), len(ci), tuple(self.at(i, j) for i in ri for j in ci)
+            len(ri), len(ci), tuple([self.at(i, j) for i in ri for j in ci])
         )
 
     def is_zero_one(self) -> bool:

@@ -69,7 +69,7 @@ class IncidenceStructure:
 
     def blocks_through(self, p: int) -> tuple[int, ...]:
         """1-based indices of the blocks containing point p."""
-        return tuple(j + 1 for j, b in enumerate(self.blocks) if p in b)
+        return tuple([j + 1 for j, b in enumerate(self.blocks) if p in b])
 
     def transpose(self) -> "IncidenceStructure":
         """Swap point and block roles; the matrix view is the transpose.
@@ -378,7 +378,7 @@ def parse_matrix_text(text: str) -> IncidenceStructure:
         grid.append([int(ch) for ch in ln])
     blocks = []
     for j in range(c):
-        support = tuple(i + 1 for i in range(r) if grid[i][j])
+        support = tuple([i + 1 for i in range(r) if grid[i][j]])
         if not support:
             raise ValueError(f"column {j + 1} is empty")
         blocks.append(support)
@@ -405,5 +405,5 @@ def parse_blocks_text(text: str) -> IncidenceStructure:
         raise ValueError(f"expected {b} block lines, found {len(lines) - 1}")
     blocks = []
     for ln in lines[1:]:
-        blocks.append(tuple(int(x) for x in ln.split()))
+        blocks.append(tuple([int(x) for x in ln.split()]))
     return _require_simple(IncidenceStructure(v, tuple(blocks)), "block file")
