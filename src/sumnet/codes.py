@@ -41,6 +41,7 @@ from .network import (
     bottleneck_sources,
     col_source,
     col_terminal,
+    require_nonzero_lines,
     source_offset,
     terminal_inputs,
 )
@@ -378,6 +379,7 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     overlap residue is not diagonal with nonzero diagonal mod p, or no
     transfer matrix exists on the support of A.
     """
+    require_nonzero_lines(a)
     r, c = a.rows, a.cols
     p = field.p
     residue = overlap_residue(a, field)
@@ -404,6 +406,7 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
 
 def build_scalar_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     """The rate-1 scalar code, applicable when the overlap residue vanishes."""
+    require_nonzero_lines(a)
     residue = overlap_residue(a, field)
     if not residue.is_zero():
         raise NoApplicableCode(

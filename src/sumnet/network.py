@@ -138,26 +138,31 @@ class SumNetwork:
         return list(self.inputs[terminal])
 
 
-def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
-    """Materialize the sum-network of a nonzero (0,1)-matrix.
+def require_nonzero_lines(a: IntMatrix) -> None:
+    """Refuse a matrix with an all-zero row or column.
 
-    All-zero rows or columns are rejected: they would create a source and
-    terminal pair with no bottleneck path, which none of the capacity
-    results cover.
+    Such a line would create a source and terminal pair with no bottleneck
+    path, which none of the capacity results cover.  Networks and codes
+    refuse it alike, before anything is built.
     """
+    if a.nonzero_count() == 0:
+        raise ValueError("matrix must be nonzero")
+    for i in range(a.rows):
+        if all(x == 0 for x in a.row(i)):
+            raise ValueError(f"row {i + 1} is all zero")
+    for j in range(a.cols):
+        if all(x == 0 for x in a.col(j)):
+            raise ValueError(f"column {j + 1} is all zero")
+
+
+def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
+    """Materialize the sum-network of a (0,1)-matrix with no all-zero line."""
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
     if not a.is_zero_one():
         raise ValueError("matrix entries must be 0 or 1")
-    if a.nonzero_count() == 0:
-        raise ValueError("matrix must be nonzero")
+    require_nonzero_lines(a)
     r, c = a.rows, a.cols
-    for i in range(r):
-        if all(x == 0 for x in a.row(i)):
-            raise ValueError(f"row {i + 1} is all zero")
-    for j in range(c):
-        if all(x == 0 for x in a.col(j)):
-            raise ValueError(f"column {j + 1} is all zero")
 
     nodes: list[tuple[str, str]] = []
     nodes += [(row_source(i), "source") for i in range(1, r + 1)]

@@ -20,7 +20,7 @@ from . import codes as codes_mod
 from .codes import NetworkCode, NoApplicableCode
 from .gf import IntMatrix, PrimeField
 from .incidence import IncidenceStructure
-from .network import build_sum_network
+from .network import build_sum_network, require_nonzero_lines
 from .verify import verify_exact
 
 
@@ -99,9 +99,11 @@ def generate_code(
     The transfer and scalar conditions split on whether the diagonal
     overlap residue is nonzero or zero, so at most one of them applies;
     the graph-transpose construction covers irregular graphs where
-    neither does.  Raises ``NoApplicableCode`` naming what failed.
+    neither does.  Raises ``NoApplicableCode`` naming what failed, and
+    ``ValueError`` for a matrix with an all-zero row or column.
     """
     a = orient_matrix(struct, orientation)
+    require_nonzero_lines(a)
     residue = codes_mod.overlap_residue(a, field)
     reasons = []
     if residue.all_nonzero():

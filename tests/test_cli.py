@@ -3,6 +3,7 @@
 import json
 import time
 
+from sumnet import codes
 from sumnet.cli import main
 from sumnet.codes import import_code
 from sumnet.incidence import fano, render_blocks_text, render_matrix_text
@@ -147,6 +148,21 @@ def test_code_no_construction_exit_status(capsys):
     assert status == 3
     assert "no construction applies" in err
     assert "not diagonal" in err
+
+
+def test_code_refuses_a_zero_row_before_building_a_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "zero-row.txt"
+    path.write_text("2 1\n1\n0\n")  # its overlap residue vanishes: the scalar case
+
+    def build(*args):
+        raise AssertionError("a code was built")
+
+    for name in ("build_transfer_code", "build_scalar_code", "build_graph_transpose_code"):
+        monkeypatch.setattr(codes, name, build)
+    status, out, err = run(capsys, "code", "--file", str(path), "--char", "2")
+    assert status == 1
+    assert out == ""
+    assert "row 2 is all zero" in err
 
 
 def test_table_sts_dichotomy(capsys):

@@ -33,6 +33,7 @@ from sumnet.codes import (
 )
 from sumnet.gf import IntMatrix, PrimeField
 from sumnet.incidence import (
+    IncidenceStructure,
     all_subsets_design,
     fano,
     from_graph,
@@ -40,11 +41,11 @@ from sumnet.incidence import (
     star_composite,
     steiner_triple,
 )
-from sumnet.bounds import family_bound
+from sumnet.bounds import family_bound, subset_bound
 from sumnet.instances import reference_code
 from sumnet.network import build_sum_network
 from sumnet.report import applicable_bounds, best_bound, generate_code, orient_matrix
-from sumnet.verify import verify_exact
+from sumnet.verify import exhaustive_oracle, verify_exact
 
 FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
 K2 = from_graph(2, [(1, 2)])
@@ -356,4 +357,51 @@ def test_generated_codes_verify_meet_bounds_and_round_trip(graph, orientation, c
     assert code.rate <= best_bound(applicable_bounds(graph, "graph", orientation, field)).bound
     if via == "graph-transpose":
         assert code.rate == family_bound(graph, "graph-transpose", field).bound
+    assert codes_equal(import_code(export_code(code)), code)
+
+
+def test_builders_refuse_a_zero_row_or_column_before_building():
+    with pytest.raises(ValueError, match="row 2 is all zero"):
+        build_scalar_code(mat([[1], [0]]), PrimeField(2))
+    with pytest.raises(ValueError, match="column 2 is all zero"):
+        build_transfer_code(mat([[1, 0], [1, 0]]), PrimeField(3))
+    lonely = IncidenceStructure(2, ((1,),))  # point 2 lies in no block
+    for orientation, line in (("normal", "row 2"), ("transpose", "column 2")):
+        with pytest.raises(ValueError, match=f"{line} is all zero"):
+            generate_code(lonely, "", orientation, PrimeField(2))
+
+
+@st.composite
+def structures(draw):
+    """A structure on at most 5 points with at most 5 blocks; some points may lie in no block."""
+    v = draw(st.integers(1, 5))
+    blocks = draw(st.lists(st.sets(st.integers(1, v), min_size=1), min_size=1, max_size=5))
+    return IncidenceStructure(v, tuple(tuple(sorted(b)) for b in blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    struct=structures(),
+    orientation=st.sampled_from(["normal", "transpose"]),
+    char=st.sampled_from([2, 3, 5]),
+)
+def test_generated_codes_on_general_matrices(struct, orientation, char):
+    field = PrimeField(char)
+    a = orient_matrix(struct, orientation)
+    family = "graph" if struct.is_simple() and all(len(b) == 2 for b in struct.blocks) else ""
+    if any(not any(a.row(i)) for i in range(a.rows)) or any(not any(a.col(j)) for j in range(a.cols)):
+        with pytest.raises(ValueError, match="all zero"):
+            generate_code(struct, family, orientation, field)
+        return
+    try:
+        code, _ = generate_code(struct, family, orientation, field)
+    except NoApplicableCode:
+        return
+    assert code.rate <= best_bound(applicable_bounds(struct, family, orientation, field)).bound
+    assert code.rate <= subset_bound(a, field).bound
+    net = build_sum_network(a)
+    report = verify_exact(net, code)
+    assert report.ok
+    if char ** (code.m * (a.rows + a.cols)) <= 4096:
+        assert exhaustive_oracle(net, code, 4096).ok == report.ok
     assert codes_equal(import_code(export_code(code)), code)
