@@ -14,7 +14,7 @@ The family bounds are the closed forms these reduce to for graphs,
 
 Neither bound builds the block matrix.  Subtracting the S rows [e_i | A_i]
 over i in supp(j) from the row [A_j^T | supp_j] of a closed column j
-leaves [0 | -R_j], where R = supp(A^T A) - A^T A is the overlap residue.
+leaves [0 | -R_j], where R = A^T A - supp(A^T A) is the overlap residue.
 So x_S = |S| + rank_p R[C(S), :], and the rank bound is
 r / (r + rank_p R).  Only closed row sets need searching: the union U of
 the supports of C(S) has C(U) = C(S) and |U| <= |S|, so U's value is no
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .gf import IntMatrix, PrimeField, column_masks
+from .gf import IntMatrix, PrimeField, column_masks, residue_rows
 from .incidence import IncidenceStructure, validate_design
 
 FAMILY_KINDS = (
@@ -95,23 +95,10 @@ def bound_matrix(a: IntMatrix) -> IntMatrix:
 def rank_bound(a: IntMatrix, field: PrimeField) -> BoundResult:
     """Upper bound r / rank(bound matrix) = r / (r + rank_p R) over GF(p); at most 1."""
     basis: dict[int, dict[int, int]] = {}
-    defect = sum(_extend(basis, row, field.p) for row in _residue_rows(column_masks(a), field.p))
+    defect = sum(_extend(basis, row, field.p) for row in residue_rows(column_masks(a), field.p))
     return BoundResult(
         bound=Fraction(a.rows, a.rows + defect), char=field.p, via="rank", rank_defect=defect
     )
-
-
-def _residue_rows(supports: list[int], p: int) -> list[dict[int, int]]:
-    """Rows of -R mod p as sparse {column: entry} dicts: max(|supp j & supp k| - 1, 0)."""
-    rows = []
-    for s in supports:
-        row = {}
-        for k, t in enumerate(supports):
-            x = ((s & t).bit_count() - 1) % p if s & t else 0
-            if x:
-                row[k] = x
-        rows.append(row)
-    return rows
 
 
 def _extend(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -> bool:
@@ -180,7 +167,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     r, c, p = a.rows, a.cols, field.p
     supports = column_masks(a)
     row_columns = column_masks(a.transpose())  # bit j of row i: column j meets row i
-    residue = _residue_rows(supports, p)
+    residue = residue_rows(supports, p)
     limit = min(max_size, r)
     full = (1 << c) - 1
     # (row mask, |S|, rank of the closed residue rows).  {1} closes only columns
@@ -188,7 +175,8 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     best = (1, 1, 0)
     # Pending children: union, closed columns, core, parent basis, columns the
     # child closes, and the parent's rejections (column k -> a column j < k that
-    # closes with it); a rejection holds while j stays unclosed.
+    # closes with it).  A rejection holds in every descendant where j is still
+    # unclosed: j's support stays inside the union grown by k's.
     empty = sum(1 << j for j, s in enumerate(supports) if not s)
     stack = [(0, empty, -1, {}, (), {})]
     while stack:
@@ -203,8 +191,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
         if union and (lhs < rhs or lhs == rhs and (
                 size < b_size or size == b_size and union & diff & -diff)):
             best = (union, size, rank)
-        rejected: dict[int, int] = {}
-        children = []
+        rejected: dict[int, int] = {}  # complete before any child is popped
         todo = full & ~closed & ~((1 << (core + 1)) - 1)
         while todo:
             bit = todo & -todo
@@ -236,9 +223,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
                         break
                     closes.append(j)
             else:
-                children.append((grown, closed | sum(1 << j for j in closes), k, closes))
-        for grown, child_closed, k, closes in children:
-            stack.append((grown, child_closed, k, basis, closes, rejected))
+                stack.append((grown, closed | sum(1 << j for j in closes), k, basis, closes, rejected))
     union, size, rank = best
     # Built from lists: tuple() over a generator let peak RSS creep up per call.
     subset = tuple([i + 1 for i in range(r) if union >> i & 1])

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf import IntMatrix, PrimeField, column_masks
+from .gf import IntMatrix, PrimeField, column_masks, residue_rows
 from .incidence import IncidenceStructure
 from .network import (
     _max_flow,
@@ -154,13 +153,9 @@ class OverlapResidue:
 
 
 def overlap_residue(a: IntMatrix, field: PrimeField) -> OverlapResidue:
-    p = field.p
-    masks = column_masks(a)
-    # Entry (i, j) of the symmetric A^T A is the overlap x of columns i and j;
-    # subtracting its support indicator leaves max(x - 1, 0).
-    diag = tuple(max(x.bit_count() - 1, 0) % p for x in masks)
-    off_ok = all(max((x & y).bit_count() - 1, 0) % p == 0 for x, y in combinations(masks, 2))
-    return OverlapResidue(p, off_ok, diag)
+    rows = residue_rows(column_masks(a), field.p)
+    diag = tuple([row.get(j, 0) for j, row in enumerate(rows)])
+    return OverlapResidue(field.p, all(row.keys() <= {j} for j, row in enumerate(rows)), diag)
 
 
 # ---------------------------------------------------------------------------

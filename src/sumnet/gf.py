@@ -191,6 +191,23 @@ def column_masks(m: IntMatrix) -> list[int]:
     return [sum(1 << i for i, x in enumerate(m.col(j)) if x) for j in range(m.cols)]
 
 
+def residue_rows(masks: list[int], p: int) -> list[dict[int, int]]:
+    """The overlap residue A^T A - supp(A^T A) mod p, row by row, from column masks.
+
+    Entry (j, k) is max(|mask_j & mask_k| - 1, 0) mod p; each row is a
+    sparse {k: entry} dict of its nonzero entries.
+    """
+    rows = []
+    for s in masks:
+        row = {}
+        for k, t in enumerate(masks):
+            x = ((s & t).bit_count() - 1) % p if s & t else 0
+            if x:
+                row[k] = x
+        rows.append(row)
+    return rows
+
+
 def _rank_rows_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank of a list of rows over GF(p).
 
