@@ -201,7 +201,7 @@ def residue_rows(masks: list[int], p: int) -> list[dict[int, int]]:
     for s in masks:
         row = {}
         for k, t in enumerate(masks):
-            x = ((s & t).bit_count() - 1) % p if s & t else 0
+            x = max((s & t).bit_count() - 1, 0) % p
             if x:
                 row[k] = x
         rows.append(row)
