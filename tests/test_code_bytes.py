@@ -1,0 +1,88 @@
+"""Byte-for-byte pins of exported codes.
+
+Each case builds a code through ``generate_code`` (optionally lifted) and
+compares the SHA-256 of its ``export_code`` text with a recorded digest, so
+any change to how the generators lay out encoders and decoders shows here.
+Digests rather than golden files: the sts-13 code alone exports 1.5 MB.
+"""
+
+import hashlib
+
+import pytest
+
+from sumnet.codes import export_code, lift_code
+from sumnet.gf import PrimeField
+from sumnet.incidence import (
+    all_subsets_design,
+    complete_graph,
+    higher_incidence,
+    star_composite,
+    steiner_triple,
+)
+from sumnet.instances import get_instance
+from sumnet.report import generate_code
+
+STRUCTURES = {
+    "sts-7": (lambda: steiner_triple(7), "bibd"),
+    "sts-9": (lambda: steiner_triple(9), "bibd"),
+    "sts-13": (lambda: steiner_triple(13), "bibd"),
+    "star-composite": (star_composite, "graph"),
+    "fig4a": (lambda: get_instance("fig4a").build(), "graph"),
+    "K5": (lambda: complete_graph(5), "graph"),
+    "K6": (lambda: complete_graph(6), "graph"),
+    "higher-2-(4,3,2)": (lambda: higher_incidence(all_subsets_design(4, 3)), "higher"),
+}
+
+# (structure, orientation, characteristic, alpha) -> SHA-256 of the export.
+LADDER = {
+    ("sts-7", "normal", 3, 1):
+        "ba8bcc4ef6d6ece88610cd2187a9e99331c4a0ba803e62adb9a7934e44d412f3",
+    ("sts-7", "normal", 5, 1):
+        "73bc7ea7d7a25f88f1840e9396065176e04caa7ddd326a25948868e059ba5a86",
+    ("sts-9", "normal", 3, 1):
+        "0394e2b5025c87636463dd8282f298fe77683397994d9287b350adfcc256325f",
+    ("sts-9", "normal", 5, 1):
+        "0928da241d792d90d5e9e4027838ab5186be41897463046797a6e0af649ce5be",
+    ("sts-13", "normal", 3, 1):
+        "51357fd6b5a57e0aaf6500c9e02e5018304f0c5e3eb728d2347ce1446f4e50d3",
+    ("sts-13", "normal", 5, 1):
+        "84e2c809b5a1b93f2b657810facd0dc54c98bfa342c13d778d4b7003e43b0e8d",
+    ("star-composite", "transpose", 2, 1):
+        "0a01333354e8171579fc1186130c61df8bbe41ddd6c626db05a12ece12a7f059",
+    ("star-composite", "transpose", 3, 1):
+        "20a780ad58fa5508c87c0b95afe098f23e4ca3b8578dfa11c53d33be051cffbe",
+    ("star-composite", "transpose", 5, 1):
+        "8e901e5fd8e5467069ece979532e52ffea80fb0ab51b54ffc5aafc260fb1dcfc",
+    ("fig4a", "normal", 3, 1):
+        "4686eaaac2cc54aa4da41a502d9bf2d0f832a36838e483d2e4b0c36367d5a435",
+    ("fig4a", "transpose", 2, 1):
+        "31ee486ec564e6ae37e0ed68e9efb96aabc69f0be409a9b1989e94d1b5e67f5d",
+    ("fig4a", "transpose", 3, 1):
+        "a6faf7d0564544fd154c98fecd6e6be8e054f2b347539545610a41cb22dad6a1",
+    ("K5", "transpose", 3, 1):
+        "44620ff61babf88fe82d5e50f1f4234d14fcb18bcf55caec2fd21b31fadf9b0d",
+    ("K6", "transpose", 3, 1):
+        "84eb4ea4139528d95138d4eaf3d7b3351b079df3ef7518ff0e925fc1ebddb396",
+    ("higher-2-(4,3,2)", "normal", 3, 1):
+        "cd97660af8bca93e4a5c02f22a4d2ec057874b10e9bac4b5c917675da885208f",
+    ("higher-2-(4,3,2)", "transpose", 3, 1):
+        "2aa3849c6a8e75b18c4d161850aa1ec0a8cadfdfd2b049bf476e846ff8803efb",
+    ("sts-7", "normal", 3, 2):
+        "6ed1f8d4bdd83acaee4fa3217f20c5a2f42143f73046a2eb9bcc109661c7c866",
+    ("fig4a", "transpose", 2, 2):
+        "44be562c554c60ce929c2a56c2c57a3d16d23debc7f2970d3c74fe85256ebf2d",
+    ("star-composite", "transpose", 5, 2):
+        "a6dabce11e089bb9dc3ee201f78ea03965cc3156222fcd159369f29d4fdec719",
+}
+
+
+def ladder_code(name, orientation, char, alpha):
+    build, family = STRUCTURES[name]
+    code, _ = generate_code(build(), family, orientation, PrimeField(char))
+    return lift_code(code, alpha)
+
+
+@pytest.mark.parametrize("key", list(LADDER), ids=lambda k: "-".join(map(str, k)))
+def test_export_bytes_are_pinned(key):
+    text = export_code(ladder_code(*key))
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]

@@ -326,3 +326,63 @@ def test_exact_matches_exhaustive_on_one_corrupted_entry(name, data):
     assert {t for t, _ in exact.failures} == {t for t, _ in truth.failures}
     for failure in exact.failures:
         assert failure in truth.failures
+
+
+def python_int_failures(net, code):
+    """verify_exact's (terminal, unit witness) list, recomputed with Python integers.
+
+    Each input's global map is built independently: a bottleneck's is its
+    encoder, a direct edge's selects its source's message, slice l on the
+    leading slots of parallel edge l.
+    """
+    p, m, width = code.p, code.m, code.alpha * code.n
+    dim = m * (net.r + net.c)
+    failures = []
+    for terminal in net.terminals():
+        dec = code.decoders[terminal]
+        composite = np.zeros((m, dim), dtype=object)
+        for pos, label in enumerate(dec.inputs):
+            if label.startswith("e"):
+                bundle = code.encoders[int(label[1:]) - 1].astype(object)
+            else:
+                bundle = np.zeros((width, dim), dtype=object)
+                off = source_offset(net.r, m, label)
+                for k in range(m):
+                    ell, u = divmod(k, m // code.alpha)
+                    bundle[ell * code.n + u, off + k] = 1
+            block = dec.matrix[:, pos * width : (pos + 1) * width].astype(object)
+            composite = composite + block @ bundle
+        for col in range(dim):
+            want = [int(col % m == row) for row in range(m)]
+            if [int(x) % p for x in composite[:, col]] != want:
+                source, comp = divmod(col, m)
+                unit = tuple(int(k == comp) for k in range(m))
+                failures.append((terminal, {net.sources()[source]: unit}))
+                break
+    return failures
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
+    # Every entry at p-1 for the largest p the int64 limit accepts: the
+    # composite reaches (p-1)^2 times the decoder width before reduction.
+    net = build_sum_network(K2_MATRIX, alpha=alpha)
+    shapes = lift_code(reference_code("k2-normal", 2), alpha)
+    widths = [d.matrix.shape[1] for d in shapes.decoders.values()]
+    inner = max([shapes.m * (net.r + net.c)] + widths)
+    limit = math.isqrt((2**63 - 1) // inner) + 1
+    p = next(q for q in range(limit, 2, -1) if is_prime(q))
+    code = lift_code(reference_code("k2-normal", p), alpha)
+    encoders = []
+    for i, enc in enumerate(code.encoders, start=1):
+        enc = np.zeros_like(enc)
+        enc[:, fed_columns(net, code, i)] = p - 1
+        encoders.append(enc)
+    decoders = {
+        t: Decoder(d.inputs, np.full_like(d.matrix, p - 1)) for t, d in code.decoders.items()
+    }
+    full = NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
+                       tuple(encoders), decoders)
+    report = verify_exact(net, full)
+    assert not report.ok
+    assert list(report.failures) == python_int_failures(net, full)
