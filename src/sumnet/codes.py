@@ -251,86 +251,22 @@ def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
 # shared encoder/decoder assembly helpers
 
 
-def _piece_layout(
-    d: IntMatrix, row_ids: Sequence[int], col_ids: Sequence[int], base: int
-):
-    """Coordinate ranges of ferried pieces.
-
-    For each column (in ``col_ids`` order) the message coordinates are
-    split among its incident rows in ascending order; inside each row the
-    pieces sit after the partial-sum block (offset ``base``) in ascending
-    column order.  Returns ``(piece, slot)`` where ``piece[(i, j)]`` is
-    the (start, length) range of the column-j message carried by row i
-    and ``slot[(i, j)]`` the bundle component where it starts.
-    """
-    piece: dict[tuple[int, int], tuple[int, int]] = {}
-    for cj, j in enumerate(col_ids):
-        start = 0
-        for ri, i in enumerate(row_ids):
-            length = d.at(ri, cj)
-            if length:
-                piece[(i, j)] = (start, length)
-                start += length
-    slot: dict[tuple[int, int], int] = {}
-    for ri, i in enumerate(row_ids):
-        offset = base
-        for cj, j in enumerate(col_ids):
-            if (i, j) in piece:
-                slot[(i, j)] = offset
-                offset += piece[(i, j)][1]
-    return piece, slot
-
-
 def _partial_sum_encoder(a: IntMatrix, i: int, m: int, n: int) -> np.ndarray:
     """Encoder of bottleneck e<i> with its partial-sum block written: the
     identity on the message of every source feeding it, in components 0..m-1."""
     enc = np.zeros((n, m * (a.rows + a.cols)), dtype=np.int64)
     for label in bottleneck_sources(a, i):
         off = source_offset(a.rows, m, label)
-        enc[range(m), range(off, off + m)] = 1
+        enc[:m, off : off + m] = np.eye(m, dtype=np.int64)
     return enc
-
-
-def _ferry_pieces(enc: np.ndarray, r: int, i: int, m: int, piece, slot) -> int:
-    """Copy the column-message pieces row i ferries into its bundle slots;
-    returns the number of components used."""
-    used = 0
-    for (row, j), (start, length) in piece.items():
-        if row == i:
-            off = source_offset(r, m, col_source(j)) + start
-            enc[range(slot[(i, j)], slot[(i, j)] + length), range(off, off + length)] = 1
-            used += length
-    return used
 
 
 def _sum_decoders(a: IntMatrix, m: int, n: int) -> dict[str, Decoder]:
     """Every terminal's decoder, adding the first m components of each input bundle."""
-    decoders = {}
-    for terminal, ins in terminal_inputs(a).items():
-        mat = np.zeros((m, n * len(ins)), dtype=np.int64)
-        for pos in range(len(ins)):
-            mat[range(m), range(pos * n, pos * n + m)] = 1
-        decoders[terminal] = Decoder(tuple(ins), mat)
-    return decoders
-
-
-def _weight_pieces(dec: Decoder, j: int, n: int, piece, slot, coeff: int, p: int) -> int:
-    """Give weight coeff mod p to each piece of the column-j message that
-    reaches the decoder through a bottleneck; returns the components covered."""
-    if p >= 1 << 63:
-        raise ValueError(
-            f"characteristic p={p} is too large for int64 code matrices: "
-            "decoder coefficients mod p must stay below 2^63"
-        )
-    coeff %= p
-    covered = 0
-    for pos, label in enumerate(dec.inputs):
-        if label.startswith("e") and (key := (int(label[1:]), j)) in piece:
-            start, length = piece[key]
-            base = pos * n + slot[key]
-            dec.matrix[range(start, start + length), range(base, base + length)] = coeff
-            covered += length
-    return covered
+    block = np.eye(m, n, dtype=np.int64)
+    return {
+        t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in terminal_inputs(a).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +280,35 @@ def _assemble_transfer(
     """The partial-sum + transfer code whose rows ``row_ids`` ferry pieces of the
     ``col_ids`` messages as margin matrix ``d`` allocates.  Column j's message
     sits mu[j-1] extra times in the partial sums at its terminal: the decoder
-    weights its pieces by -mu[j-1], and a column off the block needs mu = 0 mod p."""
+    weights its pieces by -mu[j-1], and a column off the block needs mu = 0 mod p.
+
+    Cell (i, j) of ``d`` is the length of the piece of column j's message that
+    row i ferries.  The exclusive cumulative sum of ``d`` down column j is the
+    piece's message coordinate; m plus the one across row i is its slot in the
+    bundle of row i.
+    """
+    if p >= 1 << 63:
+        raise ValueError(
+            f"characteristic p={p} is too large for int64 code matrices: "
+            "decoder coefficients mod p must stay below 2^63"
+        )
     r, c = a.rows, a.cols
     m, n = len(row_ids), len(row_ids) + len(col_ids)
-    piece, slot = _piece_layout(d, row_ids, col_ids, base=m)
-
-    encoders = []
-    for i in range(1, r + 1):
-        enc = _partial_sum_encoder(a, i, m, n)
-        used = _ferry_pieces(enc, r, i, m, piece, slot)
-        assert used == (n - m if i in row_ids else 0)  # margins fill the extra components
-        encoders.append(enc)
-
+    assert all(mu[j - 1] % p == 0 for j in range(1, c + 1) if j not in col_ids)
+    lengths = np.array(d.entries, dtype=np.int64).reshape(d.rows, d.cols)
+    starts = np.cumsum(lengths, axis=0) - lengths
+    slots = m + np.cumsum(lengths, axis=1) - lengths
+    encoders = [_partial_sum_encoder(a, i, m, n) for i in range(1, r + 1)]
     decoders = _sum_decoders(a, m, n)
-    for j in range(1, c + 1):
-        if j in col_ids:
-            covered = _weight_pieces(decoders[col_terminal(j)], j, n, piece, slot, -mu[j - 1], p)
-            assert covered == m  # the pieces of the column message partition [m]
-        else:
-            assert mu[j - 1] % p == 0  # partial sums already aligned
-
+    for ri, cj in zip(*np.nonzero(lengths)):
+        i, j = row_ids[ri], col_ids[cj]
+        length, start, slot = lengths[ri, cj], starts[ri, cj], slots[ri, cj]
+        piece = np.eye(length, dtype=np.int64)
+        off = source_offset(r, m, col_source(j)) + start
+        encoders[i - 1][slot : slot + length, off : off + length] = piece
+        dec = decoders[col_terminal(j)]
+        base = dec.inputs.index(f"e{i}") * n + slot
+        dec.matrix[start : start + length, base : base + length] = piece * (-mu[j - 1] % p)
     return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
 
 
