@@ -478,14 +478,14 @@ def import_code(text: str) -> NetworkCode:
         raise ValueError("not a code file")
     if lines[-1] != "end":
         raise ValueError("truncated code file")
-    header: dict[str, int] = {}
-    pos = 1
-    for _ in range(6):
-        key, val = lines[pos].split()
-        header[key] = int(val)
-        pos += 1
-    m, n, p, alpha = header["m"], header["n"], header["p"], header["alpha"]
-    rows, cols = header["rows"], header["cols"]
+    header = []
+    for pos, key in enumerate(("m", "n", "p", "alpha", "rows", "cols"), start=1):
+        words = lines[pos].split()
+        if len(words) != 2 or words[0] != key:
+            raise ValueError(f"expected header key {key!r} at line {pos + 1}")
+        header.append(int(words[1]))
+    m, n, p, alpha, rows, cols = header
+    pos = 7
     width = m * (rows + cols)
     encoders = []
     for i in range(1, rows + 1):

@@ -124,7 +124,11 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
     for i, enc in enumerate(code.encoders, start=1):
         if enc.shape != (code.alpha * code.n, width):
             raise ValueError(f"encoder e{i} has shape {enc.shape}")
-    # Products stay exact while every inner dimension times (p-1)^2 fits int64.
+    # verify_exact sums a terminal's inputs unreduced.  With entries below p, a
+    # bottleneck input adds at most W(p-1)^2 to an entry of the composite, W the
+    # bundle width alpha*n, and a direct input at most p-1; so the composite
+    # stays within (p-1)^2 times the decoder's width, and that width and every
+    # product's inner dimension are at most ``inner``.
     inner = max([width] + [dec.matrix.shape[1] for dec in code.decoders.values()])
     if (code.p - 1) ** 2 * inner >= 1 << 63:
         limit = math.isqrt(((1 << 63) - 1) // inner) + 1
@@ -200,8 +204,8 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
             else:
                 comps, coords = directs[x]
                 composite[:, coords] += block[:, comps]
-            composite %= p  # one product plus p-1 stays within _check_dimensions' limit
-        diff = (composite - target) % p
+        composite %= p  # the unreduced sum stays within _check_dimensions' limit
+        diff = composite != target
         if np.any(diff):
             col = int(np.flatnonzero(diff.any(axis=0))[0])
             failures.append((terminal, _unit_witness(net, m, col)))

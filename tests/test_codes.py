@@ -314,6 +314,19 @@ def test_import_code_rejects_garbage():
         import_code(good.replace("end", ""))
 
 
+@pytest.mark.parametrize("line,replacement,expected", [
+    ("n 3", "m 2", "'n' at line 3"),
+    ("p 2", "q 2", "'p' at line 4"),
+    ("cols 1", "cols", "'cols' at line 7"),
+    ("alpha 1", "end", "'alpha' at line 5"),
+])
+def test_import_code_refuses_a_bad_header(line, replacement, expected):
+    good = export_code(build_transfer_code(K2.matrix, PrimeField(2)))
+    assert f"\n{line}\n" in good
+    with pytest.raises(ValueError, match=f"expected header key {expected}"):
+        import_code(good.replace(f"\n{line}\n", f"\n{replacement}\n"))
+
+
 @pytest.mark.parametrize("entry", [2**64, -1])
 def test_import_code_refuses_entries_an_int64_matrix_cannot_hold(entry):
     lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
