@@ -9,6 +9,8 @@ decoder matrices over GF(p):
   allocated by a nonnegative integral *transfer matrix* supported on A
   with row sums c and column sums r.  Applies when A^T A minus its
   support indicator is diagonal mod p with no zero diagonal entry.
+  Exclusive cumulative sums of that matrix lay the pieces out: down a
+  column they give a piece's message coordinate, across a row its slot.
 * ``build_scalar_code`` -- the (1, 1) code, applicable when A^T A is
   congruent to its support indicator mod p.
 * ``build_graph_transpose_code`` -- the (b', b'+v') code for the
@@ -19,6 +21,10 @@ decoder matrices over GF(p):
 
 ``lift_code`` spreads a base code over alpha parallel edges per link,
 multiplying the rate by alpha.
+
+Every matrix entry lies in [0, p), so ``verify_exact`` can reduce each
+terminal's composite once: its unreduced sum stays within (p-1)^2 times
+the decoder's width, the quantity the verifiers' int64 limit bounds.
 
 Transfer matrices come from an integral max-flow; ``transfer_feasible_bruteforce``
 re-derives feasibility from the margin inequalities by direct enumeration
@@ -282,10 +288,10 @@ def _assemble_transfer(
     sits mu[j-1] extra times in the partial sums at its terminal: the decoder
     weights its pieces by -mu[j-1], and a column off the block needs mu = 0 mod p.
 
-    Cell (i, j) of ``d`` is the length of the piece of column j's message that
-    row i ferries.  The exclusive cumulative sum of ``d`` down column j is the
-    piece's message coordinate; m plus the one across row i is its slot in the
-    bundle of row i.
+    Cell (ri, cj) of ``d`` is the length of the piece of column col_ids[cj]'s
+    message that row row_ids[ri] ferries.  The exclusive cumulative sum of ``d``
+    down column cj is the piece's message coordinate; m plus the one across
+    row ri is its slot in that row's bundle.
     """
     if p >= 1 << 63:
         raise ValueError(
@@ -485,7 +491,7 @@ def import_code(text: str) -> NetworkCode:
             raise ValueError(f"expected header key {key!r} at line {pos + 1}")
         header.append(int(words[1]))
     m, n, p, alpha, rows, cols = header
-    pos = 7
+    pos = 1 + len(header)
     width = m * (rows + cols)
     encoders = []
     for i in range(1, rows + 1):

@@ -6,6 +6,9 @@ compares the result with the all-ones block map [I_m | I_m | ... | I_m].
 A bottleneck block is multiplied by that bottleneck's encoder; a direct
 edge carries its source's message uncoded, so its block is scattered
 through the layout ``_direct_layout`` shares with the simulator.  The
+composite is reduced mod p once per terminal, after every input is added:
+with entries below p the unreduced sum stays within (p-1)^2 times the
+decoder's width, which ``_check_dimensions`` keeps below 2^63.  The
 composite is still the full map, and equality of those matrices is
 equivalent to correct decoding of every message tuple, so a passing report
 is a proof, not a sample.
