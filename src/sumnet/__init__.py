@@ -32,9 +32,8 @@ from .codes import (
     import_code,
     lift_code,
     overlap_residue,
-    transfer_feasible_bruteforce,
 )
-from .gf import IntMatrix, PrimeField, det_exact, is_prime, rank_mod_p
+from .gf import IntMatrix, PrimeField, is_prime, rank_mod_p
 from .incidence import (
     DesignParams,
     IncidenceStructure,

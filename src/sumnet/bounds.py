@@ -59,14 +59,6 @@ class BoundResult:
     applicable: bool = True  # family bounds: divisibility condition held
     note: str = ""
 
-    def __str__(self) -> str:
-        parts = [f"{self.via} {self.bound}"]
-        if self.subset is not None:
-            parts.append(f"(S={{{','.join(map(str, self.subset))}}})")
-        if self.note:
-            parts.append(f"[{self.note}]")
-        return " ".join(parts)
-
 
 def support_product(n1: IntMatrix, n2: IntMatrix) -> IntMatrix:
     """Entrywise indicator that the integer product n1 @ n2 is positive."""

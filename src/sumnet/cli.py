@@ -15,6 +15,7 @@ status 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -207,8 +208,7 @@ def cmd_structure(args) -> int:
         print(params)
         return EXIT_OK
     if args.network:
-        a = struct.matrix.transpose() if args.transpose else struct.matrix
-        net = build_sum_network(a, args.alpha)
+        net = build_sum_network(orient_matrix(struct, _orientation(args)), args.alpha)
         sys.stdout.write(export_graph(net))
         return EXIT_OK
     if args.as_blocks:
@@ -444,9 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each build grows the heap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, KeyError, OSError) as exc:

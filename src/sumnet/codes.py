@@ -25,10 +25,6 @@ multiplying the rate by alpha.
 Every matrix entry lies in [0, p), so ``verify_exact`` can reduce each
 terminal's composite once: its unreduced sum stays within (p-1)^2 times
 the decoder's width, the quantity the verifiers' int64 limit bounds.
-
-Transfer matrices come from an integral max-flow; ``transfer_feasible_bruteforce``
-re-derives feasibility from the margin inequalities by direct enumeration
-and exists purely as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import graph_transpose_sets
 from .gf import IntMatrix, PrimeField, column_masks, residue_rows
 from .incidence import IncidenceStructure
 from .network import (
@@ -60,14 +57,12 @@ __all__ = [
     "find_transfer_matrix",
     "find_margin_matrix",
     "check_transfer_matrix",
-    "transfer_feasible_bruteforce",
     "build_transfer_code",
     "build_scalar_code",
     "build_graph_transpose_code",
     "lift_code",
     "export_code",
     "import_code",
-    "codes_equal",
 ]
 
 
@@ -115,22 +110,6 @@ class NetworkCode:
 
     def rate_label(self) -> str:
         return f"{self.m}/{self.n}"
-
-
-def codes_equal(a: NetworkCode, b: NetworkCode) -> bool:
-    if (a.m, a.n, a.p, a.alpha, a.rows, a.cols) != (b.m, b.n, b.p, b.alpha, b.rows, b.cols):
-        return False
-    if len(a.encoders) != len(b.encoders):
-        return False
-    if any(not np.array_equal(x, y) for x, y in zip(a.encoders, b.encoders)):
-        return False
-    if set(a.decoders) != set(b.decoders):
-        return False
-    for t, da in a.decoders.items():
-        db = b.decoders[t]
-        if da.inputs != db.inputs or not np.array_equal(da.matrix, db.matrix):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +205,6 @@ def check_transfer_matrix(
     for j in range(d.cols):
         if sum(d.col(j)) != col_total:
             raise ValueError(f"column {j + 1} sums to {sum(d.col(j))}, want {col_total}")
-
-
-def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
-    """Feasibility of the transfer matrix via the margin inequalities.
-
-    With unlimited capacity on the support and zero off it, the inequality
-    for a row set I and column set J is binding only when no support cell
-    lies in I x J, where it reads (r-|I|)*c >= |J|*r.  For fixed I the
-    largest such J is every column missing the support of I, and the
-    right side grows with |J|, so checking that single J per I checks
-    them all.  Enumeration oracle only; refuses beyond r+c = 24.
-    """
-    r, c = a.rows, a.cols
-    if r + c > 24:
-        raise ValueError(f"refusing enumeration: r+c = {r + c} exceeds 24")
-    row_masks = column_masks(a.transpose())
-    for imask in range(1 << r):
-        touched = 0
-        for i in range(r):
-            if imask >> i & 1:
-                touched |= row_masks[i]
-        free_cols = c - touched.bit_count()
-        if (r - imask.bit_count()) * c < free_cols * r:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +332,6 @@ def build_graph_transpose_code(
     B' additionally ferry the messages of the P' vertices in pieces
     allocated by a margin matrix on the B' x P' submatrix.
     """
-    from .bounds import graph_transpose_sets  # local import avoids a cycle
-
     p = field.p
     p_prime, b_prime = graph_transpose_sets(graph, field)
     if not p_prime:

@@ -2,8 +2,7 @@
 
 Nothing here uses floating point.  Matrices are desk-scale (tens of rows),
 so arbitrary-precision Python integers with O(n^3) elimination are plenty.
-Rank over GF(p) is the authoritative test everywhere; the exact integer
-determinant is exposed for cross-checks only.
+Rank over GF(p) is the authoritative test everywhere.
 """
 
 from __future__ import annotations
@@ -91,15 +90,6 @@ class PrimeField:
             raise ValueError(f"{q} is not a prime power")
         return cls(p)
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(x, -1, self.p)
-
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -176,9 +166,6 @@ class IntMatrix:
     def nonzero_count(self) -> int:
         return sum(1 for x in self.entries if x != 0)
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 def column_masks(m: IntMatrix) -> list[int]:
     """Row support of each column of a (0,1)-matrix as an int bitmask (bit i-1: row i).
@@ -244,32 +231,3 @@ def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
     """Rank of m with entries reduced mod the field characteristic."""
     return _rank_rows_mod_p(m.to_lists(), field.p)
 
-
-def det_exact(m: IntMatrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    work = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            pivot = None
-            for r in range(k + 1, n):
-                if work[r][k] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                return 0
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: division is exact at every step.
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]

@@ -14,6 +14,7 @@ endpoints of bottleneck ``e<i>``.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -248,8 +249,8 @@ def _max_flow(
 
 
 # ---------------------------------------------------------------------------
-# graph text format (a fixed DOT subset; import accepts exactly what export
-# emits and rebuilds the network from it)
+# graph text format: a fixed DOT subset defined by export_graph alone; import requires
+# the file, up to blank lines and indentation, to equal the export of the network it rebuilds
 
 
 def export_graph(net: SumNetwork) -> str:
@@ -266,48 +267,32 @@ def export_graph(net: SumNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_graph(text: str) -> SumNetwork:
-    """Parse the export format and rebuild the network it describes.
+_HEADER = re.compile(r"graph \[rows=(\d+) cols=(\d+) alpha=(\d+)\];")
+_INCIDENCE = re.compile(r"s_B(\d+) -> tail_e(\d+) \[")
 
-    The incidence pattern is recovered from the source-to-bottleneck edges;
-    the network is rebuilt from it and must reproduce the listed node and
-    edge sets exactly, which rejects files that do not describe a genuine
-    construction output.
+
+def import_graph(text: str) -> SumNetwork:
+    """Rebuild the network an ``export_graph`` file describes.
+
+    The shape and alpha come from the ``graph [...]`` line, the incidence
+    pattern from the ``s_B<j> -> tail_e<i>`` edges.  The file's stripped
+    non-blank lines must equal the export of the rebuilt network, which
+    rejects files that do not describe a genuine construction output.
     """
-    rows = cols = alpha = None
-    listed_nodes: list[tuple[str, str]] = []
-    listed_edges: list[Edge] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line in ("digraph sum_network {", "}", ""):
-            continue
-        if line.startswith("graph ["):
-            body = line[len("graph [") : line.index("]")]
-            attrs = dict(kv.split("=") for kv in body.split())
-            rows, cols, alpha = int(attrs["rows"]), int(attrs["cols"]), int(attrs["alpha"])
-        elif "->" in line:
-            left, right = line.split("->")
-            tail = left.strip()
-            head, _, attr = right.partition("[")
-            body = attr[: attr.index("]")]
-            attrs = dict(kv.split("=") for kv in body.split())
-            listed_edges.append(
-                Edge(tail, head.strip(), int(attrs["mult"]), int(attrs.get("bottleneck", 0)))
-            )
-        else:
-            name, _, attr = line.partition("[")
-            body = attr[: attr.index("]")]
-            attrs = dict(kv.split("=") for kv in body.split())
-            listed_nodes.append((name.strip(), attrs["role"]))
-    if rows is None:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    header = next(filter(None, map(_HEADER.fullmatch, lines)), None)
+    if header is None:
         raise ValueError("missing graph attribute line")
-    entries = [0] * (rows * cols)
-    for e in listed_edges:
-        if e.head.startswith("tail_e") and e.tail.startswith("s_B"):
-            i = int(e.head[len("tail_e") :])
-            j = int(e.tail[len("s_B") :])
-            entries[(i - 1) * cols + (j - 1)] = 1
-    net = build_sum_network(IntMatrix(rows, cols, tuple(entries)), alpha)
-    if list(net.nodes) != listed_nodes or list(net.edges) != listed_edges:
+    rows, cols, alpha = map(int, header.groups())
+    if rows + cols > len(lines):  # an export lists at least one line per row and column
+        raise ValueError("file does not describe a constructed sum-network")
+    cells = set()
+    for line in lines:
+        if hit := _INCIDENCE.match(line):
+            cells.add((int(hit[2]), int(hit[1])))
+    a = IntMatrix.from_rows([[int((i, j) in cells) for j in range(1, cols + 1)]
+                             for i in range(1, rows + 1)])
+    net = build_sum_network(a, alpha)
+    if [line.strip() for line in export_graph(net).splitlines()] != lines:
         raise ValueError("file does not describe a constructed sum-network")
     return net

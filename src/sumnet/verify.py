@@ -72,22 +72,6 @@ class VerifyReport:
     seed: Optional[int] = None
 
 
-def render_report(report: VerifyReport) -> str:
-    lines = [
-        f"mode {report.mode}",
-        f"ok {'yes' if report.ok else 'no'}",
-        f"trials_or_dim {report.trials_or_dim}",
-        f"seed {'-' if report.seed is None else report.seed}",
-        f"failures {len(report.failures)}",
-    ]
-    for terminal, witness in report.failures:
-        parts = [
-            f"{label}=({','.join(map(str, vec))})" for label, vec in sorted(witness.items())
-        ]
-        lines.append(f"  {terminal}: {' '.join(parts) if parts else 'zero message'}")
-    return "\n".join(lines) + "\n"
-
-
 def _direct_layout(net: SumNetwork, code: NetworkCode, label: str):
     """Where a direct-edge bundle carries its source's message.
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
-from sumnet.gf import IntMatrix
+import numpy as np
+
+from sumnet.codes import NetworkCode
+from sumnet.gf import IntMatrix, column_masks
 
 # The exact 7x7 incidence matrix of the Fano plane, rows 1..7, columns A..G.
 FANO_MATRIX = [
@@ -84,3 +87,44 @@ def random_01_matrix(rng: random.Random, max_r: int, max_c: int) -> IntMatrix:
             any(rows[i][j] for i in range(r)) for j in range(c)
         ):
             return IntMatrix.from_rows(rows)
+
+
+def codes_equal(a: NetworkCode, b: NetworkCode) -> bool:
+    if (a.m, a.n, a.p, a.alpha, a.rows, a.cols) != (b.m, b.n, b.p, b.alpha, b.rows, b.cols):
+        return False
+    if len(a.encoders) != len(b.encoders):
+        return False
+    if any(not np.array_equal(x, y) for x, y in zip(a.encoders, b.encoders)):
+        return False
+    if set(a.decoders) != set(b.decoders):
+        return False
+    for t, da in a.decoders.items():
+        db = b.decoders[t]
+        if da.inputs != db.inputs or not np.array_equal(da.matrix, db.matrix):
+            return False
+    return True
+
+
+def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
+    """Feasibility of the transfer matrix via the margin inequalities.
+
+    With unlimited capacity on the support and zero off it, the inequality
+    for a row set I and column set J is binding only when no support cell
+    lies in I x J, where it reads (r-|I|)*c >= |J|*r.  For fixed I the
+    largest such J is every column missing the support of I, and the
+    right side grows with |J|, so checking that single J per I checks
+    them all.  Enumeration oracle only; refuses beyond r+c = 24.
+    """
+    r, c = a.rows, a.cols
+    if r + c > 24:
+        raise ValueError(f"refusing enumeration: r+c = {r + c} exceeds 24")
+    row_masks = column_masks(a.transpose())
+    for imask in range(1 << r):
+        touched = 0
+        for i in range(r):
+            if imask >> i & 1:
+                touched |= row_masks[i]
+        free_cols = c - touched.bit_count()
+        if (r - imask.bit_count()) * c < free_cols * r:
+            return False
+    return True

@@ -17,6 +17,7 @@ from conftest import (
     FIG4A_TRANSFER,
     mat,
     random_01_matrix,
+    transfer_feasible_bruteforce,
 )
 from sumnet.bounds import (
     bound_matrix,
@@ -34,7 +35,6 @@ from sumnet.codes import (
     check_transfer_matrix,
     find_transfer_matrix,
     lift_code,
-    transfer_feasible_bruteforce,
 )
 from sumnet.gf import PrimeField, rank_mod_p
 from sumnet.incidence import (

@@ -3,10 +3,11 @@
 import json
 import time
 
-from sumnet import codes
+from sumnet import cli, codes
 from sumnet.cli import main
 from sumnet.codes import import_code
 from sumnet.incidence import fano, render_blocks_text, render_matrix_text
+from sumnet.instances import get_instance
 from sumnet.network import import_graph
 
 
@@ -14,6 +15,19 @@ def run(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "bound", "--k2", "--char", "2")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_structure_fano_prints_matrix(capsys):
@@ -68,6 +82,9 @@ def test_structure_network_export(capsys):
     assert status == 0
     net = import_graph(out)
     assert net.alpha == 2 and net.r == 2 and net.c == 1
+    status, out, _ = run(capsys, "structure", "graph", "fig4a", "--network", "--transpose")
+    assert status == 0
+    assert import_graph(out).matrix == get_instance("fig4a").build().matrix.transpose()
 
 
 def test_bound_fig3_transpose(capsys):

@@ -13,8 +13,10 @@ from conftest import (
     FIG4A_TRANSFER,
     TRIANGLE_PLUS_EDGE,
     TWO_STARS,
+    codes_equal,
     mat,
     random_01_matrix,
+    transfer_feasible_bruteforce,
 )
 from sumnet.codes import (
     NoApplicableCode,
@@ -22,14 +24,12 @@ from sumnet.codes import (
     build_scalar_code,
     build_transfer_code,
     check_transfer_matrix,
-    codes_equal,
     export_code,
     find_margin_matrix,
     find_transfer_matrix,
     import_code,
     lift_code,
     overlap_residue,
-    transfer_feasible_bruteforce,
 )
 from sumnet.gf import IntMatrix, PrimeField
 from sumnet.incidence import (

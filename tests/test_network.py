@@ -216,11 +216,25 @@ def test_graph_export_marks_bottlenecks():
 
 def test_import_rejects_tampered_text():
     net = build_sum_network(mat([[1], [1]]))
-    lines = export_graph(net).splitlines()
-    # drop a direct edge line
-    dropped = [ln for ln in lines if "s_p2 -> t_p1" not in ln]
-    with pytest.raises(ValueError, match="does not describe"):
-        import_graph("\n".join(dropped))
+    text = export_graph(net)
+    lines = text.splitlines()
+    # blank lines and indentation are not part of the format
+    spaced = "\n\n".join("    " * (k % 3) + ln.strip() for k, ln in enumerate(lines))
+    assert export_graph(import_graph(spaced)) == text
+    tampered = [
+        # a direct edge line dropped
+        "\n".join(ln for ln in lines if "s_p2 -> t_p1" not in ln),
+        # the bottleneck edge with its attributes in another order
+        text.replace("[mult=1 bottleneck=1]", "[bottleneck=1 mult=1]"),
+        # no digraph opening and closing lines
+        "\n".join(lines[1:-1]),
+        # a header far larger than the file
+        text.replace("rows=2 cols=1", "rows=1000000 cols=1000000"),
+    ]
+    for bad in tampered:
+        assert bad != text
+        with pytest.raises(ValueError, match="does not describe"):
+            import_graph(bad)
 
 
 def test_terminal_inputs_order():

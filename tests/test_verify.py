@@ -22,12 +22,7 @@ from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph
 from sumnet.instances import reference_code
 from sumnet.network import bottleneck_sources, build_sum_network, source_offset
-from sumnet.verify import (
-    exhaustive_oracle,
-    render_report,
-    verify_exact,
-    verify_random,
-)
+from sumnet.verify import exhaustive_oracle, verify_exact, verify_random
 
 K2_MATRIX = mat([[1], [1]])
 FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -187,17 +182,6 @@ def test_lifted_code_verifies_and_simulates():
         assert verify_random(net, code, trials=200, seed=3).ok
         if alpha == 2:
             assert exhaustive_oracle(net, code, limit=5000).ok  # 2^12 tuples
-
-
-def test_render_report_stable():
-    net = build_sum_network(K2_MATRIX)
-    code = reference_code("k2-normal", 2)
-    text = render_report(verify_exact(net, code))
-    assert text.splitlines()[0] == "mode exact-basis"
-    assert "ok yes" in text
-    bad = corrupt_encoder(code, 0, 2)
-    text = render_report(verify_exact(net, bad))
-    assert "ok no" in text and "t_B1" in text
 
 
 def test_verifiers_refuse_characteristics_that_overflow_int64():
