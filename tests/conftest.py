@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from itertools import islice, product
 
 import numpy as np
 
 from sumnet.codes import NetworkCode
 from sumnet.gf import IntMatrix, column_masks
+from sumnet.network import bottleneck_sources, source_offset
+from sumnet.verify import VerifyReport
 
 # The exact 7x7 incidence matrix of the Fano plane, rows 1..7, columns A..G.
 FANO_MATRIX = [
@@ -128,3 +131,93 @@ def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
         if (r - imask.bit_count()) * c < free_cols * r:
             return False
     return True
+
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64(state: int):
+    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return state, z ^ (z >> 31)
+
+
+def _symbol_stream(seed: int, p: int):
+    state = seed & _MASK
+    bound = (1 << 64) // p * p
+    while True:
+        state, z = _splitmix64(state)
+        if z < bound:
+            yield z % p
+
+
+def reference_symbols(seed: int, p: int, count: int) -> list[int]:
+    """The first ``count`` symbols of the stream seeded ``seed`` mod 2^64.
+
+    SplitMix64 stepped one state at a time with Python integers; a 64-bit
+    draw at or above floor(2^64/p)*p is discarded, the rest reduced mod p.
+    """
+    return list(islice(_symbol_stream(seed, p), count))
+
+
+def reference_failures(net, code, messages) -> list:
+    """(terminal, witness) for every terminal that misses the sum, one message
+    vector at a time, in (message, terminal) order.
+
+    Each bottleneck reads the message vector with every source that does not
+    feed it zeroed; parallel direct edge l carries message slice l in its
+    leading slots.  A witness maps source labels to their nonzero messages.
+    """
+    p, m, width = code.p, code.m, code.alpha * code.n
+    sources = net.sources()
+    masks = []
+    for i in range(1, net.r + 1):
+        mask = np.zeros(m * (net.r + net.c), dtype=bool)
+        for label in bottleneck_sources(net.matrix, i):
+            off = source_offset(net.r, m, label)
+            mask[off : off + m] = True
+        masks.append(mask)
+    slots = [ell * code.n + u for ell in range(code.alpha) for u in range(m // code.alpha)]
+    failures = []
+    for x in messages:
+        want = x.reshape(net.r + net.c, m).sum(axis=0) % p
+        values = {
+            f"e{i}": enc @ np.where(mask, x, 0) % p
+            for i, (enc, mask) in enumerate(zip(code.encoders, masks), start=1)
+        }
+        for label in sources:
+            off = source_offset(net.r, m, label)
+            values[label] = np.zeros(width, dtype=np.int64)
+            values[label][slots] = x[off : off + m]
+        for terminal in net.terminals():
+            dec = code.decoders[terminal]
+            got = dec.matrix @ np.concatenate([values[k] for k in dec.inputs]) % p
+            if not np.array_equal(got, want):
+                witness = {}
+                for idx, label in enumerate(sources):
+                    vec = tuple(int(v) for v in x[idx * m : (idx + 1) * m])
+                    if any(vec):
+                        witness[label] = vec
+                failures.append((terminal, witness))
+    return failures
+
+
+def reference_random(net, code, trials: int, seed: int) -> VerifyReport:
+    """``verify_random``'s report, trial t drawing from the stream seeded seed + t."""
+    dim = code.m * (net.r + net.c)
+    messages = (
+        np.array(reference_symbols(seed + t, code.p, dim), dtype=np.int64)
+        for t in range(trials)
+    )
+    failures = reference_failures(net, code, messages)
+    return VerifyReport("randomized", not failures, tuple(failures), trials, seed)
+
+
+def reference_exhaustive(net, code) -> VerifyReport:
+    """``exhaustive_oracle``'s report over every message tuple in lexicographic order."""
+    dim = code.m * (net.r + net.c)
+    messages = (np.array(tup, dtype=np.int64) for tup in product(range(code.p), repeat=dim))
+    failures = reference_failures(net, code, messages)
+    return VerifyReport("exhaustive", not failures, tuple(failures), code.p**dim)

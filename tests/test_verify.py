@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat
+from conftest import mat, reference_exhaustive, reference_random
 from sumnet.codes import (
     Decoder,
     NetworkCode,
@@ -20,8 +20,9 @@ from sumnet.codes import (
 )
 from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph
-from sumnet.instances import reference_code
+from sumnet.instances import REFERENCE_CODES, get_instance, reference_code
 from sumnet.network import bottleneck_sources, build_sum_network, source_offset
+from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import exhaustive_oracle, verify_exact, verify_random
 
 K2_MATRIX = mat([[1], [1]])
@@ -370,3 +371,86 @@ def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
     report = verify_exact(net, full)
     assert not report.ok
     assert list(report.failures) == python_int_failures(net, full)
+
+
+# Codes for the simulation properties: (instance, orientation, kind), with
+# kind "reference" for the hand-written codes and "generated" for generate_code's.
+SIM_CASES = [
+    (name, orientation, kind)
+    for name in ("k2", "triangle", "fano", "fig4a")
+    for orientation in ("normal", "transpose")
+    for kind in ("reference", "generated")
+    if kind == "generated" or f"{name}-{orientation}" in REFERENCE_CODES
+]
+
+
+@cache
+def sim_code(name, orientation, kind, p, alpha):
+    inst = get_instance(name)
+    if kind == "reference":
+        code = reference_code(f"{name}-{orientation}", p)
+    else:
+        code, _ = generate_code(inst.build(), inst.family, orientation, PrimeField(p))
+    code = lift_code(code, alpha)
+    return build_sum_network(orient_matrix(inst.build(), orientation), alpha=alpha), code
+
+
+def corrupt_entries(net, code, data) -> NetworkCode:
+    """The code with zero to three entries drawn by hypothesis shifted by a nonzero amount."""
+    p = code.p
+    encoders = [e.copy() for e in code.encoders]
+    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    for _ in range(data.draw(st.integers(0, 3), label="corrupted entries")):
+        if data.draw(st.booleans(), label="corrupt encoder"):
+            i = data.draw(st.integers(1, len(encoders)), label="bottleneck")
+            target = encoders[i - 1]
+            col = data.draw(st.sampled_from(fed_columns(net, code, i)), label="col")
+        else:
+            terminal = data.draw(st.sampled_from(sorted(decoders)), label="terminal")
+            target = decoders[terminal].matrix
+            col = data.draw(st.integers(0, target.shape[1] - 1), label="col")
+        row = data.draw(st.integers(0, target.shape[0] - 1), label="row")
+        target[row, col] = (target[row, col] + data.draw(st.integers(1, p - 1))) % p
+    return NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
+                       tuple(encoders), decoders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(SIM_CASES),
+    p=st.sampled_from([2, 3, 5, 7]),
+    alpha=st.integers(1, 2),
+    trials=st.sampled_from([0, 1, 63, 64, 65, 130]),
+    seed=st.one_of(
+        st.sampled_from([-(2**64) - 3, -7, -1, 0, 1, 3, 2**64 - 5]),
+        st.integers(-(2**66), 2**66),
+    ),
+    data=st.data(),
+)
+def test_simulation_matches_the_per_trial_reference(case, p, alpha, trials, seed, data):
+    net, code = sim_code(*case, p, alpha)
+    bad = corrupt_entries(net, code, data)
+    assert verify_random(net, bad, trials, seed) == reference_random(net, bad, trials, seed)
+    if tuple_count(case, p, alpha) <= 4096:
+        assert exhaustive_oracle(net, bad, 4096) == reference_exhaustive(net, bad)
+
+
+def tuple_count(case, p, alpha):
+    net, code = sim_code(*case, p, alpha)
+    return p ** (code.m * (net.r + net.c))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    args=st.sampled_from([
+        (case, p, alpha)
+        for case in SIM_CASES for p in (2, 3, 5, 7) for alpha in (1, 2)
+        if tuple_count(case, p, alpha) <= 4096
+    ]),
+    data=st.data(),
+)
+def test_exhaustive_matches_the_per_tuple_reference(args, data):
+    case, p, alpha = args
+    net, code = sim_code(*case, p, alpha)
+    bad = corrupt_entries(net, code, data)
+    assert exhaustive_oracle(net, bad, 4096) == reference_exhaustive(net, bad)
