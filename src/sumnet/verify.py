@@ -3,32 +3,43 @@
 ``verify_exact`` is complete for the linear codes built here: it composes
 each terminal's decoder with the global maps of its input bundles and
 compares the result with the all-ones block map [I_m | I_m | ... | I_m].
-A bottleneck block is multiplied by that bottleneck's encoder; a direct
-edge carries its source's message uncoded, so its block is scattered
-through the layout ``_direct_layout`` shares with the simulator.  The
-composite is reduced mod p once per terminal, after every input is added:
-with entries below p the unreduced sum stays within (p-1)^2 times the
-decoder's width, which ``_check_dimensions`` keeps below 2^63.  The
-composite is still the full map, and equality of those matrices is
-equivalent to correct decoding of every message tuple, so a passing report
-is a proof, not a sample.
+A bottleneck block is multiplied by that bottleneck's encoder restricted to
+its feeding columns, the message coordinates of the sources feeding it;
+``_check_locality`` has proven every other column zero, so only those
+columns of the composite receive the product.  A direct edge carries its
+source's message uncoded, so its block is scattered through the layout
+``_direct_layout`` shares with the simulator.  The composite is reduced
+mod p once per terminal, after every input is added: with entries below p
+the unreduced sum stays within (p-1)^2 times the decoder's width, which
+``_check_dimensions`` keeps below 2^63.  Restricting a product to its
+feeding columns drops only zero terms, so no inner dimension grows and
+that argument is unchanged.  The composite is still the full map, and
+equality of those matrices is equivalent to correct decoding of every
+message tuple, so a passing report is a proof, not a sample.
 
 ``verify_random`` re-checks by simulating topological edge propagation on
 pseudorandom messages; it exists as an independent cross-check and demo.
 The generator is fixed so reports are reproducible: trial t draws symbols
-from a SplitMix64 stream with initial state (seed + t) mod 2^64, mapping
-each 64-bit draw to a field symbol by rejection sampling (values at or
-above floor(2^64/p)*p are discarded, the rest reduced mod p).
+from a SplitMix64 stream with initial state s = (seed + t) mod 2^64, whose
+draw k (k >= 1) is mix(s + k*gamma) mod 2^64 in closed form, gamma the
+stream's odd increment.  Each 64-bit draw maps to a field symbol by
+rejection sampling (values at or above floor(2^64/p)*p are discarded, the
+rest reduced mod p).
 
-``exhaustive_oracle`` enumerates every message tuple outright; it is the
-ground truth used to validate ``verify_exact`` itself on tiny instances.
+Both ``verify_random`` and ``exhaustive_oracle``, which enumerates every
+message tuple outright as the ground truth for ``verify_exact`` on tiny
+instances, simulate blocks of up to 64 trials at once: one message vector
+per column of a (dim x T) matrix, one product per encoder over its feeding
+rows, one scatter per direct source and one product per decoder.  Peak
+memory is bounded by the block, not by the trial count, and every report
+lists its failures in (trial, terminal) order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 import numpy as np
@@ -38,23 +49,55 @@ from .gf import is_prime
 from .network import SumNetwork, bottleneck_sources, source_offset
 
 _MASK = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_BLOCK = 64  # trials simulated per block
 
 
-def _splitmix64(state: int):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on uint64 arrays (arithmetic wraps mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _symbol_stream(seed: int, p: int):
-    state = seed & _MASK
-    bound = (1 << 64) // p * p
-    while True:
-        state, z = _splitmix64(state)
-        if z < bound:
-            yield z % p
+def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws first..first+count-1 of the streams seeded ``seeds``, one stream per column."""
+    ks = np.arange(first, first + count, dtype=np.uint64)
+    return _mix(seeds[None, :] + ks[:, None] * _GAMMA)
+
+
+def _symbols(seeds: np.ndarray, p: int, dim: int) -> np.ndarray:
+    """The first dim field symbols of each stream seeded ``seeds``, as columns.
+
+    A column with a rejected draw takes further draws until it has dim
+    accepted ones; below p = 2^32 a draw is rejected with probability under 2^-32.
+    """
+    top = np.uint64((1 << 64) // p * p - 1)  # largest accepted draw
+    z = _draws(seeds, 1, dim)
+    for j in np.flatnonzero((z > top).any(axis=0)):
+        kept, k = z[:, j][z[:, j] <= top], dim
+        while len(kept) < dim:
+            more = _draws(seeds[j : j + 1], k + 1, dim - len(kept))[:, 0]
+            k += len(more)
+            kept = np.concatenate([kept, more[more <= top]])
+        z[:, j] = kept
+    return (z % np.uint64(p)).astype(np.int64)
+
+
+def _random_blocks(seed: int, p: int, trials: int, dim: int):
+    """Trial t's messages, drawn from the stream seeded (seed + t) mod 2^64, in blocks."""
+    for start in range(0, trials, _BLOCK):
+        seeds = np.uint64((seed + start) & _MASK) + np.arange(
+            min(_BLOCK, trials - start), dtype=np.uint64
+        )
+        yield _symbols(seeds, p, dim)
+
+
+def _exhaustive_blocks(p: int, dim: int):
+    """Every message tuple in lexicographic order, in blocks."""
+    tuples = product(range(p), repeat=dim)
+    while block := list(islice(tuples, _BLOCK)):
+        yield np.array(block, dtype=np.int64).T
 
 
 @dataclass(frozen=True)
@@ -134,14 +177,21 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
             raise ValueError(f"{name} has an entry outside [0, {code.p})")
 
 
-def _check_locality(net: SumNetwork, code: NetworkCode) -> None:
-    """Structural validity: encoders and decoders read only what reaches them."""
+def _check_locality(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Structural validity: encoders and decoders read only what reaches them.
+
+    Returns, per encoder, the encoder restricted to its feeding columns, the
+    coordinates of the sources feeding it, and those columns: checked here
+    to be its only nonzero ones.
+    """
     m = code.m
+    fed = []
     for i, (enc, allowed) in enumerate(zip(code.encoders, _feeding_masks(net, m)), start=1):
         if np.any(enc[:, ~allowed]):
             raise ValueError(
                 f"encoder e{i} uses a message outside the sources feeding it"
             )
+        fed.append((enc[:, allowed], np.flatnonzero(allowed)))
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
@@ -153,6 +203,7 @@ def _check_locality(net: SumNetwork, code: NetworkCode) -> None:
             )
         if dec.matrix.shape != (m, code.alpha * code.n * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
+    return fed
 
 
 def _sum_map(net: SumNetwork, m: int) -> np.ndarray:
@@ -174,7 +225,7 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     code is correct for all q^(m(r+c)) messages.
     """
     _check_dimensions(net, code)
-    _check_locality(net, code)
+    fed = _check_locality(net, code)
     p = code.p
     m = code.m
     width = code.alpha * code.n
@@ -187,7 +238,8 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
         for pos, x in enumerate(dec.inputs):
             block = dec.matrix[:, pos * width : (pos + 1) * width]
             if x.startswith("e"):
-                composite += block @ code.encoders[int(x[1:]) - 1]
+                enc, cols = fed[int(x[1:]) - 1]
+                composite[:, cols] += block @ enc
             else:
                 comps, coords = directs[x]
                 composite[:, coords] += block[:, comps]
@@ -204,32 +256,31 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     )
 
 
-def _failures(net: SumNetwork, code: NetworkCode, messages) -> list:
-    """Propagate each message vector, decode at every terminal, and collect
-    (terminal, witness) for every terminal that misses the sum.
+def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
+    """Propagate each block of message vectors, one per column, decode at
+    every terminal, and collect (terminal, witness) for every terminal that
+    misses the sum, in (message, terminal) order.
 
-    Bottleneck values are computed from the masked message vector holding
-    only the sources feeding that bottleneck, which asserts structurally
-    that edge values depend on nothing else.
+    Bottleneck values are computed from the feeding rows of the message
+    block only, the sources feeding that bottleneck, which asserts
+    structurally that edge values depend on nothing else.
     """
     p, m = code.p, code.m
-    masks = _feeding_masks(net, m)
     directs = {label: _direct_layout(net, code, label) for label in net.sources()}
     decoders = [(t, code.decoders[t]) for t in net.terminals()]
     failures = []
-    for x in messages:
-        want = x.reshape(net.r + net.c, m).sum(axis=0) % p
-        values = {
-            f"e{i}": enc @ np.where(mask, x, 0) % p
-            for i, (enc, mask) in enumerate(zip(code.encoders, masks), start=1)
-        }
+    for x in blocks:
+        want = x.reshape(net.r + net.c, m, -1).sum(axis=0) % p
+        values = {f"e{i}": enc @ x[cols] % p for i, (enc, cols) in enumerate(fed, start=1)}
         for label, (comps, coords) in directs.items():
-            values[label] = np.zeros(code.alpha * code.n, dtype=np.int64)
+            values[label] = np.zeros((code.alpha * code.n, x.shape[1]), dtype=np.int64)
             values[label][comps] = x[coords]
-        for terminal, dec in decoders:
-            got = dec.matrix @ np.concatenate([values[k] for k in dec.inputs]) % p
-            if not np.array_equal(got, want):
-                failures.append((terminal, _assignment(net, m, x)))
+        missed = np.empty((x.shape[1], len(decoders)), dtype=bool)
+        for pos, (_, dec) in enumerate(decoders):
+            got = dec.matrix @ np.vstack([values[k] for k in dec.inputs]) % p
+            missed[:, pos] = (got != want).any(axis=0)
+        for trial, pos in zip(*np.nonzero(missed)):
+            failures.append((decoders[pos][0], _assignment(net, m, x[:, trial])))
     return failures
 
 
@@ -247,13 +298,9 @@ def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) ->
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     _check_dimensions(net, code)
-    _check_locality(net, code)
+    fed = _check_locality(net, code)
     dim = code.m * (net.r + net.c)
-    messages = (
-        np.fromiter(_symbol_stream((seed + t) & _MASK, code.p), dtype=np.int64, count=dim)
-        for t in range(trials)
-    )
-    failures = _failures(net, code, messages)
+    failures = _failures(net, code, fed, _random_blocks(seed, code.p, trials, dim))
     return VerifyReport(
         mode="randomized",
         ok=not failures,
@@ -266,14 +313,13 @@ def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) ->
 def exhaustive_oracle(net: SumNetwork, code: NetworkCode, limit: int) -> VerifyReport:
     """Check every message tuple outright; refuses when q^dim exceeds limit."""
     _check_dimensions(net, code)
-    _check_locality(net, code)
+    fed = _check_locality(net, code)
     p = code.p
     dim = code.m * (net.r + net.c)
     total = p**dim
     if total > limit:
         raise ValueError(f"{p}^{dim} = {total} message tuples exceed the limit {limit}")
-    messages = (np.array(tup, dtype=np.int64) for tup in product(range(p), repeat=dim))
-    failures = _failures(net, code, messages)
+    failures = _failures(net, code, fed, _exhaustive_blocks(p, dim))
     return VerifyReport(
         mode="exhaustive",
         ok=not failures,

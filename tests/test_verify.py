@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat, reference_exhaustive, reference_random
+from conftest import mat, reference_exhaustive, reference_random, reference_symbols
 from sumnet.codes import (
     Decoder,
     NetworkCode,
@@ -23,7 +23,7 @@ from sumnet.incidence import from_graph
 from sumnet.instances import REFERENCE_CODES, get_instance, reference_code
 from sumnet.network import bottleneck_sources, build_sum_network, source_offset
 from sumnet.report import generate_code, orient_matrix
-from sumnet.verify import exhaustive_oracle, verify_exact, verify_random
+from sumnet.verify import _random_blocks, exhaustive_oracle, verify_exact, verify_random
 
 K2_MATRIX = mat([[1], [1]])
 FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -454,3 +454,17 @@ def test_exhaustive_matches_the_per_tuple_reference(args, data):
     net, code = sim_code(*case, p, alpha)
     bad = corrupt_entries(net, code, data)
     assert exhaustive_oracle(net, bad, 4096) == reference_exhaustive(net, bad)
+
+
+# 6148914691236517223 is the first prime above 2^64/3: a third of all draws
+# fall at or above floor(2^64/p)*p = 2p and are rejected.  Every p the
+# verifiers accept rejects fewer than p/2^64 of them, so only this direct
+# check of the stream covers rejection.
+@pytest.mark.parametrize("p", [2, 3, 5, 4294967311, 2**63 - 25, 6148914691236517223])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 3])
+def test_message_blocks_match_the_reference_stream(p, seed):
+    blocks = list(_random_blocks(seed, p, 130, 40))
+    assert [b.shape for b in blocks] == [(40, 64), (40, 64), (40, 2)]
+    messages = np.hstack(blocks)
+    for t in range(130):
+        assert messages[:, t].tolist() == reference_symbols(seed + t, p, 40)
