@@ -409,14 +409,12 @@ def export_code(code: NetworkCode) -> str:
     ]
     for i, enc in enumerate(code.encoders, start=1):
         lines.append(f"encoder e{i}")
-        for row in enc:
-            lines.append(" ".join(str(int(x)) for x in row))
+        lines.extend(" ".join(map(str, row)) for row in enc.tolist())
     for t in sorted(code.decoders):
         dec = code.decoders[t]
         lines.append(f"decoder {t}")
         lines.append("inputs " + " ".join(dec.inputs))
-        for row in dec.matrix:
-            lines.append(" ".join(str(int(x)) for x in row))
+        lines.extend(" ".join(map(str, row)) for row in dec.matrix.tolist())
     lines.append("end")
     return "\n".join(lines) + "\n"
 
