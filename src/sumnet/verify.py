@@ -53,17 +53,15 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 64  # trials simulated per block
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function on uint64 arrays (arithmetic wraps mod 2^64)."""
+def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws first..first+count-1 of the SplitMix64 streams seeded ``seeds``,
+    one stream per column: draw k is mix(s + k*gamma), in uint64 arithmetic,
+    which wraps mod 2^64."""
+    ks = np.arange(first, first + count, dtype=np.uint64)
+    z = seeds[None, :] + ks[:, None] * _GAMMA
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Draws first..first+count-1 of the streams seeded ``seeds``, one stream per column."""
-    ks = np.arange(first, first + count, dtype=np.uint64)
-    return _mix(seeds[None, :] + ks[:, None] * _GAMMA)
 
 
 def _symbols(seeds: np.ndarray, p: int, dim: int) -> np.ndarray:
@@ -180,9 +178,9 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
 def _check_locality(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndarray]]:
     """Structural validity: encoders and decoders read only what reaches them.
 
-    Returns, per encoder, the encoder restricted to its feeding columns, the
-    coordinates of the sources feeding it, and those columns: checked here
-    to be its only nonzero ones.
+    Returns (encoder restricted to its feeding columns, those columns) per
+    encoder.  The feeding columns are the coordinates of the sources feeding
+    it, and every other column is checked here to be zero.
     """
     m = code.m
     fed = []
