@@ -4,9 +4,17 @@ import json
 import time
 
 from sumnet import cli, codes
+from sumnet.bounds import family_bound
 from sumnet.cli import main
 from sumnet.codes import import_code
-from sumnet.incidence import fano, render_blocks_text, render_matrix_text
+from sumnet.gf import PrimeField
+from sumnet.incidence import (
+    all_subsets_design,
+    fano,
+    higher_incidence,
+    render_blocks_text,
+    render_matrix_text,
+)
 from sumnet.instances import get_instance
 from sumnet.network import import_graph
 
@@ -209,6 +217,28 @@ def test_table_higher_family(capsys):
     assert "lam=7776" in out and "1/2593" in out
 
 
+def test_table_higher_family_refuses_a_bad_t_before_any_output(capsys):
+    status, out, err = run(capsys, "table", "higher-family", "--t", "3,1")
+    assert status == 1
+    assert "t must be at least 2" in err
+    assert out == ""
+
+
+def test_table_higher_reports_the_inapplicable_transpose_family_bound(capsys):
+    status, out, _ = run(capsys, "table", "higher", "--design", "2-5-3-3", "--char", "2")
+    assert status == 0
+    assert out == (
+        "structure          net        char  bound  via   rate  via     matched  note\n"
+        "-----------------  ---------  ----  -----  ----  ----  ------  -------  ----\n"
+        "higher(2-(5,3,3))  normal     2     1      rank  1/1   scalar  yes\n"
+        "higher(2-(5,3,3))  transpose  2     1      rank  1/1   scalar  yes\n"
+    )
+    struct = higher_incidence(all_subsets_design(5, 3))
+    family = family_bound(struct, "higher-transpose", PrimeField(2))
+    assert not family.applicable
+    assert family.note == "closed form inapplicable: ch divides lam-1 = 2"
+
+
 def test_table_output_deterministic(capsys):
     _, first, _ = run(capsys, "table", "sts", "--v", "7", "--char", "2,3")
     _, second, _ = run(capsys, "table", "sts", "--v", "7", "--char", "2,3")
@@ -224,6 +254,43 @@ def test_from_file_round_trip(tmp_path, capsys):
     status, _, err = run(capsys, "bound", "--file", str(tmp_path / "nope.txt"),
                          "--normal", "--char", "3")
     assert status == 1 and "error" in err
+
+
+def test_bound_on_a_steiner_design_spec(capsys):
+    status, out, _ = run(capsys, "bound", "--design", "2-9-3-1", "--char", "3")
+    assert status == 0
+    assert out == (
+        "2-(9,3,1) normal char 3:\n"
+        "  subset 3/7 (S={1,2,3,4,5,6,7,8,9}, S''={10,11,12,13,14,15,16,17,18,19,20,21}, "
+        "x_S=21)\n"
+        "  rank 3/7 (t=12)\n"
+    )
+
+
+def test_bound_on_a_graph_file(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n110\n101\n011\n")
+    status, out, _ = run(capsys, "bound", "--file", str(path), "--char", "3")
+    assert status == 0
+    assert out == (
+        "triangle.txt normal char 3:\n"
+        "  subset 1/2 (S={1,2,3}, S''={4,5,6}, x_S=6)\n"
+        "  rank 1/2 (t=3)\n"
+        "  family graph-normal 1/2\n"
+    )
+
+
+def test_bound_on_a_graph_file_with_an_isolated_vertex(tmp_path, capsys):
+    path = tmp_path / "isolated.txt"
+    path.write_text("3 1\n1\n1\n0\n")
+    status, out, _ = run(capsys, "bound", "--file", str(path), "--char", "3")
+    assert status == 0
+    assert out == (
+        "isolated.txt normal char 3:\n"
+        "  family graph-normal: not applicable (graph has an isolated vertex)\n"
+        "  subset 2/3 (S={1,2}, S''={4}, x_S=3)\n"
+        "  rank 3/4 (t=1)\n"
+    )
 
 
 def test_zero_size_flags_reach_the_constructor(capsys):

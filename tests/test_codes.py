@@ -1,6 +1,8 @@
 """Code construction: transfer matrices, the three builders, and the lift."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 
@@ -327,13 +329,83 @@ def test_import_code_refuses_a_bad_header(line, replacement, expected):
         import_code(good.replace(f"\n{line}\n", f"\n{replacement}\n"))
 
 
-@pytest.mark.parametrize("entry", [2**64, -1])
+@pytest.mark.parametrize("entry", [2**64, -1, 2**63 - 1])
 def test_import_code_refuses_entries_an_int64_matrix_cannot_hold(entry):
     lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
     row = lines.index("encoder e1") + 1
     lines[row] = " ".join([str(entry)] + lines[row].split()[1:])
     with pytest.raises(ValueError, match="encoder e1 has an entry outside"):
         import_code("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError, not a hang, when the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _replace_line(old, new):
+    return lambda lines: [new if line == old else line for line in lines]
+
+
+def _edit_first_encoder_row(edit):
+    def apply(lines):
+        row = lines.index("encoder e1") + 1
+        return lines[:row] + [edit(lines[row])] + lines[row + 1:]
+    return apply
+
+
+def _repeat_decoder(lines):
+    at = lines.index("decoder t_p1")
+    return lines[:at + 4] + lines[at:]  # decoder, inputs and m = 2 rows, twice
+
+
+def _ragged_rows(lines):
+    row = lines.index("encoder e1") + 1
+    first, second = lines[row].rsplit(" ", 1)
+    return lines[:row] + [first, f"{second} {lines[row + 1]}"] + lines[row + 2:]
+
+
+# The K2 transfer code at char 2 (m 2, n 3, rows 2) with one edit each.
+MALFORMED_CODE_FILES = {
+    "repeated-decoder": _repeat_decoder,
+    "underscore-in-entry": _edit_first_encoder_row(lambda row: "1_0" + row[1:]),
+    "leading-zero": _edit_first_encoder_row(lambda row: "01" + row[1:]),
+    "plus-sign": _edit_first_encoder_row(lambda row: "+1" + row[1:]),
+    "tab-separator": _edit_first_encoder_row(lambda row: row.replace(" ", "\t", 1)),
+    "m-0": _replace_line("m 2", "m 0"),
+    "m-minus-2": _replace_line("m 2", "m -2"),
+    "m-minus-2-rows-0": lambda lines: _replace_line("rows 2", "rows 0")(
+        _replace_line("m 2", "m -2")(lines)
+    ),
+    "alpha-0": _replace_line("alpha 1", "alpha 0"),
+    "ragged-row": _ragged_rows,
+    "wrong-encoder-label": _replace_line("encoder e2", "encoder e7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CODE_FILES))
+def test_import_code_refuses_a_file_export_code_would_not_write(case):
+    lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
+    edited = MALFORMED_CODE_FILES[case](lines)
+    assert edited != lines
+    with time_limit(10), pytest.raises(ValueError):
+        import_code("\n".join(edited) + "\n")
+
+
+def test_import_code_ignores_blank_lines_and_trailing_spaces():
+    code = build_transfer_code(FIG4A.matrix, PrimeField(3))
+    loose = "\n\n".join(line + "  " for line in export_code(code).splitlines()) + "\n \n"
+    assert codes_equal(import_code(loose), code)
 
 
 # ---------------------------------------------------------------------------
