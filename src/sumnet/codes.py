@@ -25,13 +25,19 @@ multiplying the rate by alpha.
 Every matrix entry lies in [0, p), so ``verify_exact`` can reduce each
 terminal's composite once: its unreduced sum stays within (p-1)^2 times
 the decoder's width, the quantity the verifiers' int64 limit bounds.
+
+``export_code`` alone defines the code file format; ``import_code`` requires
+the export of the code it reads, up to blank lines and trailing spaces.  Its
+entries lie in [0, 2^63 - 1): a code's lie below p <= 2^63 - 25, the largest
+prime below 2^63, and ``np.fromstring`` reads every larger value as 2^63 - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -397,75 +403,69 @@ def lift_code(code: NetworkCode, alpha: int) -> NetworkCode:
 # code file format
 
 
+_HEADER = ("m", "n", "p", "alpha", "rows", "cols")
+
+
+def _lines(code: NetworkCode) -> Iterator[str]:
+    """The lines of a code's file, one matrix at a time: the format's one definition."""
+    yield "sumnet-code v1"
+    yield from (f"{key} {getattr(code, key)}" for key in _HEADER)
+    sections = [([f"encoder e{i}"], enc) for i, enc in enumerate(code.encoders, start=1)]
+    sections += [([f"decoder {t}", "inputs " + " ".join(dec.inputs)], dec.matrix)
+                 for t, dec in sorted(code.decoders.items())]
+    for labels, matrix in sections:
+        yield from labels
+        yield from (" ".join(map(str, row)) for row in matrix.tolist())
+    yield "end"
+
+
 def export_code(code: NetworkCode) -> str:
-    lines = [
-        "sumnet-code v1",
-        f"m {code.m}",
-        f"n {code.n}",
-        f"p {code.p}",
-        f"alpha {code.alpha}",
-        f"rows {code.rows}",
-        f"cols {code.cols}",
-    ]
-    for i, enc in enumerate(code.encoders, start=1):
-        lines.append(f"encoder e{i}")
-        lines.extend(" ".join(map(str, row)) for row in enc.tolist())
-    for t in sorted(code.decoders):
-        dec = code.decoders[t]
-        lines.append(f"decoder {t}")
-        lines.append("inputs " + " ".join(dec.inputs))
-        lines.extend(" ".join(map(str, row)) for row in dec.matrix.tolist())
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_lines(code)) + "\n"
 
 
-def _parse_matrix(lines: Sequence[str], name: str) -> np.ndarray:
-    """Integer rows of a code matrix.  Entries outside [0, 2^63) cannot be held
-    by an int64 matrix and are refused here; the verifiers refuse those >= p."""
-    rows = [list(map(int, line.split())) for line in lines]
-    if any(min(row, default=0) < 0 or max(row, default=0) >= 1 << 63 for row in rows):
-        raise ValueError(f"{name} has an entry outside [0, 2^63)")
-    return np.array(rows, dtype=np.int64)
+def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np.ndarray:
+    """A code matrix; only rows of decimal digits and spaces reach numpy."""
+    block = " ".join(lines)
+    digits = block.isascii() and block.replace(" ", "").isdigit()
+    entries = np.fromstring(block, dtype=np.int64, sep=" ") if digits else None
+    if entries is None or entries.max() >= (1 << 63) - 1:
+        raise ValueError(f"{name} has an entry outside the decimal integers in [0, 2^63 - 1)")
+    if entries.size != shape[0] * shape[1]:
+        raise ValueError(f"{name} has {entries.size} entries, want {shape[0]} x {shape[1]}")
+    return entries.reshape(shape)
 
 
 def import_code(text: str) -> NetworkCode:
+    """The code whose export the file is, up to blank lines and trailing spaces."""
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "sumnet-code v1":
         raise ValueError("not a code file")
-    if lines[-1] != "end":
+    if lines[-1] != "end":  # so every matrix parsed below ends before the last line
         raise ValueError("truncated code file")
     header = []
-    for pos, key in enumerate(("m", "n", "p", "alpha", "rows", "cols"), start=1):
+    for pos, key in enumerate(_HEADER, start=1):
         words = lines[pos].split()
-        if len(words) != 2 or words[0] != key:
+        if len(words) != 2 or words[0] != key or not (words[1].isascii() and words[1].isdigit()):
             raise ValueError(f"expected header key {key!r} at line {pos + 1}")
         header.append(int(words[1]))
     m, n, p, alpha, rows, cols = header
+    if min(m, n, alpha) < 1:
+        raise ValueError(f"m, n and alpha must be at least 1, got {m}, {n} and {alpha}")
     pos = 1 + len(header)
-    width = m * (rows + cols)
     encoders = []
     for i in range(1, rows + 1):
-        if lines[pos] != f"encoder e{i}":
-            raise ValueError(f"expected encoder e{i} at line {pos + 1}")
-        pos += 1
-        arr = _parse_matrix(lines[pos : pos + alpha * n], f"encoder e{i}")
-        pos += alpha * n
-        if arr.shape != (alpha * n, width):
-            raise ValueError(f"encoder e{i} has shape {arr.shape}")
-        encoders.append(arr)
+        block = lines[pos + 1 : pos + 1 + alpha * n]
+        encoders.append(_parse_matrix(block, (alpha * n, m * (rows + cols)), f"encoder e{i}"))
+        pos += 1 + alpha * n
     decoders: dict[str, Decoder] = {}
     while lines[pos] != "end":
-        if not lines[pos].startswith("decoder "):
-            raise ValueError(f"unexpected line {lines[pos]!r}")
-        terminal = lines[pos].split()[1]
-        pos += 1
-        if not lines[pos].startswith("inputs "):
-            raise ValueError("decoder without inputs line")
-        inputs = tuple(lines[pos].split()[1:])
-        pos += 1
-        arr = _parse_matrix(lines[pos : pos + m], f"decoder {terminal}")
-        pos += m
-        if arr.shape != (m, alpha * n * len(inputs)):
-            raise ValueError(f"decoder {terminal} has shape {arr.shape}")
-        decoders[terminal] = Decoder(inputs, arr)
-    return NetworkCode(m, n, p, alpha, rows, cols, tuple(encoders), decoders)
+        words, inputs = lines[pos].split(), tuple(lines[pos + 1].split()[1:])
+        terminal = words[1] if len(words) > 1 else ""
+        shape, block = (m, alpha * n * len(inputs)), lines[pos + 2 : pos + 2 + m]
+        decoders[terminal] = Decoder(inputs, _parse_matrix(block, shape, f"decoder {terminal}"))
+        pos += 2 + m
+    code = NetworkCode(m, n, p, alpha, rows, cols, tuple(encoders), decoders)
+    for k, (line, want) in enumerate(zip_longest(lines, _lines(code))):
+        if line != want:
+            raise ValueError(f"line {k + 1} differs from the export of the code it describes")
+    return code
