@@ -368,10 +368,10 @@ def cmd_table(args) -> int:
             specs.append(RowSpec(f"higher({label})", struct, "higher", "transpose", p))
     elif args.scenario == "higher-family":
         ts = [int(x) for x in (args.t or "2,3").split(",")]
+        capacities = [report_mod.higher_family_capacity(t) for t in ts]  # refuses before output
         print("capacity of subset-vs-block networks on t-(v,t+1,(t+1)!^(2t+1)) designs")
         print("(characteristic not dividing t; value independent of v; nothing is built)")
-        for t in ts:
-            lam, cap = report_mod.higher_family_capacity(t)
+        for t, (lam, cap) in zip(ts, capacities):
             print(f"  t={t}: lam={lam}, capacity {cap}")
         return EXIT_OK
     else:  # pragma: no cover - argparse restricts choices
