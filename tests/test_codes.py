@@ -388,6 +388,8 @@ MALFORMED_CODE_FILES = {
         _replace_line("m 2", "m -2")(lines)
     ),
     "alpha-0": _replace_line("alpha 1", "alpha 0"),
+    "decoder-without-terminal": _replace_line("decoder t_p1", "decoder"),
+    "word-after-terminal": _replace_line("decoder t_p1", "decoder t_p1 t_p2"),
     "ragged-row": _ragged_rows,
     "wrong-encoder-label": _replace_line("encoder e2", "encoder e7"),
 }
@@ -400,6 +402,20 @@ def test_import_code_refuses_a_file_export_code_would_not_write(case):
     assert edited != lines
     with time_limit(10), pytest.raises(ValueError):
         import_code("\n".join(edited) + "\n")
+
+
+@pytest.mark.parametrize("line,replacement,expected", [
+    ("m 1", "m 0", "m, n and alpha must be at least 1"),
+    ("n 1", "n 0", "m, n and alpha must be at least 1"),
+    ("alpha 1", "alpha 0", "m, n and alpha must be at least 1"),
+    ("p 2", "p -2", "expected header key 'p' at line 4"),
+    ("rows 0", "rows -1", "expected header key 'rows' at line 6"),
+])
+def test_import_code_checks_the_header_values(line, replacement, expected):
+    # Without matrices nothing but the header check can refuse these files.
+    header = "sumnet-code v1\nm 1\nn 1\np 2\nalpha 1\nrows 0\ncols 0\nend\n"
+    with time_limit(10), pytest.raises(ValueError, match=expected):
+        import_code(header.replace(f"\n{line}\n", f"\n{replacement}\n"))
 
 
 def test_import_code_ignores_blank_lines_and_trailing_spaces():
