@@ -108,6 +108,26 @@ def codes_equal(a: NetworkCode, b: NetworkCode) -> bool:
     return True
 
 
+def reference_export(code: NetworkCode) -> str:
+    """``export_code``'s text written one Python string per entry.
+
+    The header, then per bottleneck ``encoder e<i>`` and its rows, then per
+    terminal in sorted order ``decoder <t>``, ``inputs ...`` and its rows,
+    then ``end``; a row is ``" ".join(map(str, row))`` and every line ends
+    with a newline.
+    """
+    lines = ["sumnet-code v1"]
+    lines += [f"{key} {getattr(code, key)}" for key in ("m", "n", "p", "alpha", "rows", "cols")]
+    sections = [([f"encoder e{i}"], enc) for i, enc in enumerate(code.encoders, start=1)]
+    sections += [([f"decoder {t}", "inputs " + " ".join(dec.inputs)], dec.matrix)
+                 for t, dec in sorted(code.decoders.items())]
+    for labels, matrix in sections:
+        lines += labels
+        lines += [" ".join(map(str, row)) for row in matrix.tolist()]
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
 def transfer_feasible_bruteforce(a: IntMatrix) -> bool:
     """Feasibility of the transfer matrix via the margin inequalities.
 

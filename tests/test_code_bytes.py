@@ -4,13 +4,21 @@ Each case builds a code through ``generate_code`` (optionally lifted) and
 compares the SHA-256 of its ``export_code`` text with a recorded digest, so
 any change to how the generators lay out encoders and decoders shows here.
 Digests rather than golden files: the sts-13 code alone exports 1.5 MB.
+Codes over larger characteristics pin entries of several digits; a property
+test compares ``export_code`` with ``reference_export`` on arbitrary int64
+entries.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sumnet.codes import export_code, lift_code
+from conftest import reference_export
+from sumnet.codes import Decoder, NetworkCode, export_code, lift_code
 from sumnet.gf import PrimeField
 from sumnet.incidence import (
     all_subsets_design,
@@ -73,6 +81,17 @@ LADDER = {
         "44be562c554c60ce929c2a56c2c57a3d16d23debc7f2970d3c74fe85256ebf2d",
     ("star-composite", "transpose", 5, 2):
         "a6dabce11e089bb9dc3ee201f78ea03965cc3156222fcd159369f29d4fdec719",
+    # Decoder coefficients -2 mod p: 9, 11, 99, 101 and 2^63 - 27.
+    ("sts-7", "normal", 11, 1):
+        "2d93e1e6aa71da9c709d4235fe6e5631144bb24f05538f69414f82cac20d3105",
+    ("sts-7", "normal", 13, 1):
+        "54c88b8139d449a3eb1697c02d4d3671c9193952665348302ca747b7e8c4601b",
+    ("sts-7", "normal", 101, 1):
+        "71ca2a4fdc8496363d2ccd3f8e9fa47df5f84efba8def93ec962bd06d121f863",
+    ("sts-7", "normal", 103, 1):
+        "bcb4cbbad9f8889971e3651e9c54d471bd9a0ba326b1eea19151f87cc83bc151",
+    ("K5", "transpose", 2**63 - 25, 1):
+        "931d59e92a050693302a781bfb0f2d9914585cf1f1be9d642bf768b1a4d81f1a",
 }
 
 
@@ -86,3 +105,37 @@ def ladder_code(name, orientation, char, alpha):
 def test_export_bytes_are_pinned(key):
     text = export_code(ladder_code(*key))
     assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# 0, the int64 extremes, and 10^k - 1, 10^k and their negatives, where a
+# number gains a digit.
+EDGES = sorted({0, INT64_MIN, INT64_MAX} | {
+    sign * (10**k + d) for k in range(19) for d in (-1, 0) for sign in (1, -1)
+})
+entries = st.one_of(st.sampled_from(EDGES), st.integers(INT64_MIN, INT64_MAX))
+matrices = arrays(np.int64, st.tuples(st.integers(0, 4), st.integers(0, 6)), elements=entries)
+names = st.from_regex(r"[a-z_0-9]{1,4}", fullmatch=True)
+decoders = st.builds(Decoder, st.tuples(names, names).map(tuple), matrices)
+
+
+@st.composite
+def int64_codes(draw):
+    """A NetworkCode with arbitrary shapes and int64 entries; export checks neither."""
+    header = draw(st.lists(st.integers(0, 2**63), min_size=6, max_size=6))
+    encoders = draw(st.lists(matrices, max_size=3))
+    return NetworkCode(*header, tuple(encoders), draw(st.dictionaries(names, decoders, max_size=3)))
+
+
+EXTREMES = np.array([EDGES, EDGES[::-1]], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_codes())
+@example(NetworkCode(1, 2, 3, 1, 2, 0, (EXTREMES, np.zeros((3, 0), dtype=np.int64)), {
+    "t": Decoder(("e1",), EXTREMES.T.copy()),
+    "u": Decoder((), np.zeros((2, 0), dtype=np.int64)),
+    "v": Decoder(("e2",), np.zeros((0, 4), dtype=np.int64)),
+}))
+def test_export_code_matches_the_reference_on_int64_entries(code):
+    assert export_code(code) == reference_export(code)

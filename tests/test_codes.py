@@ -406,6 +406,36 @@ def test_import_code_refuses_a_file_export_code_would_not_write(case):
         import_code("\n".join(edited) + "\n")
 
 
+# The cases the parser reads, refused by the round-trip comparison at the
+# first non-blank line that differs from the export of what was read.
+ROUND_TRIP_REFUSALS = {
+    "decoder-without-terminal": 16,  # the export sorts terminal "" first
+    "leading-zero": 9,
+    "ragged-row": 9,
+    "repeated-decoder": 24,  # the second t_p1 replaces the first; t_p2 is due here
+    "word-after-terminal": 20,
+    "wrong-encoder-label": 12,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_REFUSALS))
+def test_import_code_names_the_first_line_that_differs(case):
+    lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
+    edited = MALFORMED_CODE_FILES[case](lines)
+    want = f"^line {ROUND_TRIP_REFUSALS[case]} differs from the export of the code it describes$"
+    with pytest.raises(ValueError, match=want):
+        import_code("\n".join(edited) + "\n")
+
+
+def test_import_code_counts_only_non_blank_lines():
+    lines = export_code(build_transfer_code(FIG4A.matrix, PrimeField(3))).splitlines()
+    late = len(lines) - 2  # the last matrix row, just before "end"
+    lines[late] = "0" + lines[late]
+    loose = "\n\n".join(line + "  " for line in lines) + "\n \n"
+    with pytest.raises(ValueError, match=f"^line {late + 1} differs from the export"):
+        import_code(loose)
+
+
 @pytest.mark.parametrize("key", ["m", "n", "alpha"])
 def test_import_code_refuses_m_n_or_alpha_below_one(key):
     # A file without matrices, so nothing but the header check can refuse it.
