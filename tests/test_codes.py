@@ -394,6 +394,7 @@ MALFORMED_CODE_FILES = {
     "word-after-terminal": _replace_line("decoder t_p1", "decoder t_p1 t_p2"),
     "ragged-row": _ragged_rows,
     "wrong-encoder-label": _replace_line("encoder e2", "encoder e7"),
+    "line-after-end": lambda lines: lines + ["end"],
 }
 
 
@@ -411,6 +412,7 @@ def test_import_code_refuses_a_file_export_code_would_not_write(case):
 ROUND_TRIP_REFUSALS = {
     "decoder-without-terminal": 16,  # the export sorts terminal "" first
     "leading-zero": 9,
+    "line-after-end": 29,  # the parser stops at the first "end"
     "ragged-row": 9,
     "repeated-decoder": 24,  # the second t_p1 replaces the first; t_p2 is due here
     "word-after-terminal": 20,
