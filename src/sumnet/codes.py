@@ -26,10 +26,14 @@ Every matrix entry lies in [0, p), so ``verify_exact`` can reduce each
 terminal's composite once: its unreduced sum stays within (p-1)^2 times
 the decoder's width, the quantity the verifiers' int64 limit bounds.
 
-``export_code`` alone defines the code file format; ``import_code`` requires
-the export of the code it reads, up to blank lines and trailing spaces.  Its
-entries lie in [0, 2^63 - 1): a code's lie below p <= 2^63 - 25, the largest
-prime below 2^63, and ``np.fromstring`` reads every larger value as 2^63 - 1.
+``export_code`` alone defines the code file format: the header, then each
+matrix under its labels, each rendered to text in one vectorised numpy pass
+per digit position, then ``end``.  ``import_code`` requires the export of the
+code it reads, up to blank lines and trailing spaces, and checks the file
+against that export section by section, so it holds one matrix's text at a
+time.  Its entries lie in [0, 2^63 - 1): a code's lie below p <= 2^63 - 25,
+the largest prime below 2^63, and ``np.fromstring`` reads every larger value
+as 2^63 - 1.
 """
 
 from __future__ import annotations
@@ -404,23 +408,62 @@ def lift_code(code: NetworkCode, alpha: int) -> NetworkCode:
 
 
 _HEADER = ("m", "n", "p", "alpha", "rows", "cols")
+_POWERS = 10 ** np.arange(1, 19, dtype=np.uint64)  # 10 .. 10^18; |int64| <= 2^63 < 10^19
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
-def _lines(code: NetworkCode) -> Iterator[str]:
-    """The lines of a code's file, one matrix at a time: the format's one definition."""
-    yield "sumnet-code v1"
-    yield from (f"{key} {getattr(code, key)}" for key in _HEADER)
-    sections = [([f"encoder e{i}"], enc) for i, enc in enumerate(code.encoders, start=1)]
-    sections += [([f"decoder {t}", "inputs " + " ".join(dec.inputs)], dec.matrix)
-                 for t, dec in sorted(code.decoders.items())]
-    for labels, matrix in sections:
-        yield from labels
-        yield from (" ".join(map(str, row)) for row in matrix.tolist())
-    yield "end"
+def _render(matrix: np.ndarray) -> bytes:
+    """A matrix's rows as ``" ".join(map(str, row)) + "\\n"`` for any int64 entries.
+
+    Every entry starts as the text "0" and its separator, a newline at the
+    end of a row.  A nonzero entry is widened by its sign and its digits
+    beyond the first; then the signs, and the digits one pass per digit
+    position, least significant first, are scattered in.
+    """
+    rows, cols = matrix.shape
+    if not matrix.size:
+        return b"\n" * rows
+    flat = matrix.ravel()
+    nonzero = np.flatnonzero(flat)
+    negative = flat[nonzero] < 0
+    mag = flat[nonzero].astype(np.uint64)
+    np.negative(mag, out=mag, where=negative)  # in uint64, so |-2^63| = 2^63
+    extra = negative.astype(np.int64)  # each nonzero entry's width beyond one digit
+    for power in _POWERS:
+        longer = mag >= power
+        if not longer.any():
+            break
+        extra += longer
+    text = np.full((rows, cols, 2), ord("0"), dtype=np.uint8)
+    text[:, :, 1] = ord(" ")
+    text[:, -1, 1] = ord("\n")
+    out = np.insert(text.ravel(), np.repeat(2 * nonzero, extra), ord("0"))
+    last = 2 * nonzero + np.cumsum(extra)  # the lowest digit of each nonzero entry
+    out[(last - extra)[negative]] = ord("-")
+    while mag.size:
+        mag, digit = np.divmod(mag, np.uint64(10))
+        out[last] = _DIGITS[digit]
+        alive = np.flatnonzero(mag)
+        mag, last = mag[alive], last[alive] - 1
+    return out.tobytes()
+
+
+def _sections(code: NetworkCode) -> Iterator[str]:
+    """A code's file in sections: the header, each matrix under its labels, then "end".
+
+    The format's one definition, one matrix's text at a time.
+    """
+    yield "sumnet-code v1\n" + "".join(f"{key} {getattr(code, key)}\n" for key in _HEADER)
+    for i, enc in enumerate(code.encoders, start=1):
+        yield f"encoder e{i}\n" + _render(enc).decode("ascii")
+    for t, dec in sorted(code.decoders.items()):
+        labels = f"decoder {t}\ninputs {' '.join(dec.inputs)}\n"
+        yield labels + _render(dec.matrix).decode("ascii")
+    yield "end\n"
 
 
 def export_code(code: NetworkCode) -> str:
-    return "\n".join(_lines(code)) + "\n"
+    return "".join(_sections(code))
 
 
 def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np.ndarray:
@@ -433,6 +476,21 @@ def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np
     if entries.size != shape[0] * shape[1]:
         raise ValueError(f"{name} has {entries.size} entries, want {shape[0]} x {shape[1]}")
     return entries.reshape(shape)
+
+
+def _first_difference(lines: Sequence[str], code: NetworkCode) -> Optional[int]:
+    """Index of the first line that differs from the code's export, or None.
+
+    The export is rendered and compared one section at a time.
+    """
+    pos = 0
+    for section in _sections(code):
+        got = lines[pos : pos + section.count("\n")]
+        if "\n".join([*got, ""]) != section:
+            pairs = zip_longest(got, section.splitlines())
+            return pos + next(k for k, (line, want) in enumerate(pairs) if line != want)
+        pos += len(got)
+    return pos if pos < len(lines) else None
 
 
 def import_code(text: str) -> NetworkCode:
@@ -465,7 +523,7 @@ def import_code(text: str) -> NetworkCode:
         decoders[terminal] = Decoder(inputs, _parse_matrix(block, shape, f"decoder {terminal}"))
         pos += 2 + m
     code = NetworkCode(m, n, p, alpha, rows, cols, tuple(encoders), decoders)
-    for k, (line, want) in enumerate(zip_longest(lines, _lines(code))):
-        if line != want:
-            raise ValueError(f"line {k + 1} differs from the export of the code it describes")
+    k = _first_difference(lines, code)
+    if k is not None:
+        raise ValueError(f"line {k + 1} differs from the export of the code it describes")
     return code

@@ -30,7 +30,8 @@ Both ``verify_random`` and ``exhaustive_oracle``, which enumerates every
 message tuple outright as the ground truth for ``verify_exact`` on tiny
 instances, simulate blocks of up to 64 trials at once: one message vector
 per column of a (dim x T) matrix, one product per encoder over its feeding
-rows, one scatter per direct source and one product per decoder.  Peak
+rows, one scatter per direct source, all into one stacked array of bundle
+values, and one product per decoder over its nonzero columns.  Peak
 memory is bounded by the block, not by the trial count, and every report
 lists its failures in (trial, terminal) order.
 """
@@ -261,21 +262,36 @@ def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
 
     Bottleneck values are computed from the feeding rows of the message
     block only, the sources feeding that bottleneck, which asserts
-    structurally that edge values depend on nothing else.
+    structurally that edge values depend on nothing else.  Each block's
+    bundle values go into one stacked array, allocated once per call: every
+    block rewrites the bottleneck rows and the slots a direct edge carries,
+    and a direct bundle's other slots stay zero.  Each decoder multiplies
+    only its nonzero columns, by the rows of that array they read, an index
+    computed once per call.
     """
     p, m = code.p, code.m
-    directs = {label: _direct_layout(net, code, label) for label in net.sources()}
-    decoders = [(t, code.decoders[t]) for t in net.terminals()]
+    width = code.alpha * code.n
+    bundles = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
+    start = {label: k * width for k, label in enumerate(bundles)}
+    directs = [_direct_layout(net, code, label) for label in net.sources()]
+    decoders = []
+    for t in net.terminals():
+        dec = code.decoders[t]
+        reads = np.concatenate([start[x] + np.arange(width) for x in dec.inputs])
+        used = np.flatnonzero(dec.matrix.any(axis=0))
+        decoders.append((t, dec.matrix, used, reads[used]))
     failures = []
+    stacked = np.zeros((len(bundles) * width, _BLOCK), dtype=np.int64)
     for x in blocks:
         want = x.reshape(net.r + net.c, m, -1).sum(axis=0) % p
-        values = {f"e{i}": enc @ x[cols] % p for i, (enc, cols) in enumerate(fed, start=1)}
-        for label, (comps, coords) in directs.items():
-            values[label] = np.zeros((code.alpha * code.n, x.shape[1]), dtype=np.int64)
-            values[label][comps] = x[coords]
+        values = stacked[:, : x.shape[1]]
+        for k, (enc, cols) in enumerate(fed):
+            values[k * width : (k + 1) * width] = enc @ x[cols] % p
+        for k, (comps, coords) in enumerate(directs, start=net.r):
+            values[k * width + comps] = x[coords]
         missed = np.empty((x.shape[1], len(decoders)), dtype=bool)
-        for pos, (_, dec) in enumerate(decoders):
-            got = dec.matrix @ np.vstack([values[k] for k in dec.inputs]) % p
+        for pos, (_, matrix, used, rows) in enumerate(decoders):
+            got = matrix[:, used] @ values[rows] % p
             missed[:, pos] = (got != want).any(axis=0)
         for trial, pos in zip(*np.nonzero(missed)):
             failures.append((decoders[pos][0], _assignment(net, m, x[:, trial])))

@@ -81,7 +81,7 @@ LADDER = {
         "44be562c554c60ce929c2a56c2c57a3d16d23debc7f2970d3c74fe85256ebf2d",
     ("star-composite", "transpose", 5, 2):
         "a6dabce11e089bb9dc3ee201f78ea03965cc3156222fcd159369f29d4fdec719",
-    # Decoder coefficients -2 mod p: 9, 11, 99, 101 and 2^63 - 27.
+    # Decoder coefficients -mu mod p: 9, 11, 99 and 101 (sts-7, mu = 2), 2^63 - 28 (K5, mu = 3).
     ("sts-7", "normal", 11, 1):
         "2d93e1e6aa71da9c709d4235fe6e5631144bb24f05538f69414f82cac20d3105",
     ("sts-7", "normal", 13, 1):
