@@ -92,6 +92,16 @@ def random_01_matrix(rng: random.Random, max_r: int, max_c: int) -> IntMatrix:
             return IntMatrix.from_rows(rows)
 
 
+def message_offsets(r: int, c: int, m: int) -> dict[str, int]:
+    """Where each source's m-symbol message starts in the stacked vector.
+
+    Written out independently of ``network.source_offset``: the row
+    messages s_p1..s_pr first, then the column messages s_B1..s_Bc.
+    """
+    labels = [f"s_p{i}" for i in range(1, r + 1)] + [f"s_B{j}" for j in range(1, c + 1)]
+    return {label: k * m for k, label in enumerate(labels)}
+
+
 def codes_equal(a: NetworkCode, b: NetworkCode) -> bool:
     if (a.m, a.n, a.p, a.alpha, a.rows, a.cols) != (b.m, b.n, b.p, b.alpha, b.rows, b.cols):
         return False

@@ -331,13 +331,22 @@ def test_import_code_refuses_a_bad_header(line, replacement, expected):
         import_code(good.replace(f"\n{line}\n", f"\n{replacement}\n"))
 
 
-@pytest.mark.parametrize("entry", [2**64, -1, 2**63 - 1])
+@pytest.mark.parametrize("entry", [2**64, -1, 2**63 - 1, "\u0661", "\u00b2"])
 def test_import_code_refuses_entries_an_int64_matrix_cannot_hold(entry):
     lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
     row = lines.index("encoder e1") + 1
     lines[row] = " ".join([str(entry)] + lines[row].split()[1:])
     with pytest.raises(ValueError, match="encoder e1 has an entry outside"):
         import_code("\n".join(lines) + "\n")
+
+
+def test_import_code_refuses_an_empty_matrix():
+    # rows 1, m 1, n 1: encoder e1 needs one entry and its block holds no line.
+    text = "sumnet-code v1\nm 1\nn 1\np 2\nalpha 1\nrows 1\ncols 0\nend\n"
+    want = "encoder e1 has an entry outside the decimal integers in [0, 2^63 - 1)"
+    with pytest.raises(ValueError) as err:
+        import_code(text)
+    assert str(err.value) == want
 
 
 @contextlib.contextmanager

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG4A_MATRIX, mat
+from conftest import FIG4A_MATRIX, mat, message_offsets
 from sumnet.gf import IntMatrix
 from sumnet.network import (
     SumNetwork,
@@ -14,6 +14,7 @@ from sumnet.network import (
     export_graph,
     import_graph,
     min_cut,
+    source_offset,
 )
 
 
@@ -284,3 +285,12 @@ def test_terminal_inputs_are_the_in_edges_and_the_unseen_sources(a):
         want += [f"s_p{i}" for i in range(1, r + 1) if i not in seen_rows]
         want += [f"s_B{j}" for j in range(1, c + 1) if j not in seen_cols]
         assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(1, 30), c=st.integers(1, 30), m=st.integers(1, 40))
+def test_source_offset_is_the_written_out_layout(r, c, m):
+    want = message_offsets(r, c, m)
+    assert len(want) == r + c
+    for label, offset in want.items():
+        assert source_offset(r, m, label) == offset

@@ -57,6 +57,19 @@ def test_corrupted_component_fails_at_block_terminal():
     assert witness == {"s_B1": (1, 0)}
 
 
+@pytest.mark.parametrize("a,p,enc_index,row,want", [
+    (K2_MATRIX, 2, 0, 1, (("t_p1", {"s_p1": (0, 1)}), ("t_B1", {"s_p1": (0, 1)}))),
+    (FIG4A.matrix, 3, 2, 2, tuple((t, {"s_p3": (0, 0, 1, 0)})
+                                  for t in ("t_p3", "t_B2", "t_B3", "t_B5"))),
+    (FIG4A.matrix, 3, 2, 7, (("t_B5", {"s_B5": (0, 0, 1, 0)}),)),
+])
+def test_exact_witness_names_the_source_and_component(a, p, enc_index, row, want):
+    # Zeroing one encoder row loses one component of one source's message;
+    # the witness is the unit vector at the first column that breaks.
+    bad = corrupt_encoder(build_transfer_code(a, PrimeField(p)), enc_index, row)
+    assert verify_exact(build_sum_network(a), bad).failures == want
+
+
 def test_fig4a_reference_verifies():
     net = build_sum_network(mat([[1, 0, 0, 1, 1], [1, 1, 0, 0, 0],
                                  [0, 1, 1, 0, 1], [0, 0, 1, 1, 0]]))
