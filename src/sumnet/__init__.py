@@ -33,7 +33,7 @@ from .codes import (
     lift_code,
     overlap_residue,
 )
-from .gf import IntMatrix, PrimeField, is_prime, rank_mod_p
+from .gf import IntMatrix, PrimeField, is_prime
 from .incidence import (
     DesignParams,
     IncidenceStructure,

@@ -1,8 +1,10 @@
 """Exact arithmetic: prime fields and small integer matrices.
 
-Nothing here uses floating point.  Matrices are desk-scale (tens of rows),
-so arbitrary-precision Python integers with O(n^3) elimination are plenty.
-Rank over GF(p) is the authoritative test everywhere.
+Nothing here uses floating point.  ``IntMatrix`` holds small integer
+matrices (incidence, bound and transfer matrices) as Python integers;
+``column_masks`` and ``residue_rows`` read a (0,1)-matrix's overlaps.  The package's one GF(p)
+elimination, ``bounds._extend``, serves the rank bound and the subset
+search.
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class IntMatrix:
             flat.extend(int(x) for x in row)
         return cls(r, c, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -132,26 +130,12 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             self.cols,
             self.rows,
             tuple([self.at(i, j) for j in range(self.cols) for i in range(self.rows)]),
         )
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                cj = other.col(j)
-                out.append(sum(a * b for a, b in zip(ri, cj)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "IntMatrix":
         ri = list(row_idx)
@@ -193,41 +177,3 @@ def residue_rows(masks: list[int], p: int) -> list[dict[int, int]]:
                 row[k] = x
         rows.append(row)
     return rows
-
-
-def _rank_rows_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of a list of rows over GF(p).
-
-    Deterministic Gaussian elimination: pivots are the first nonzero entry
-    scanning columns left to right, rows top to bottom.
-    """
-    work = [[x % p for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        prow = [(x * inv) % p for x in work[rank]]
-        work[rank] = prow
-        for r in range(rank + 1, nrows):
-            f = work[r][col]
-            if f:
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
-    """Rank of m with entries reduced mod the field characteristic."""
-    return _rank_rows_mod_p(m.to_lists(), field.p)
-

@@ -107,10 +107,6 @@ class SumNetwork:
     def c(self) -> int:
         return self.matrix.cols
 
-    @property
-    def bottlenecks(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.bottleneck)
-
     def sources(self) -> list[str]:
         return [n for n, role in self.nodes if role == "source"]
 
@@ -127,16 +123,6 @@ class SumNetwork:
     def inputs(self) -> dict[str, list[str]]:
         """Every terminal's inputs in the fixed decoder order (``terminal_inputs``)."""
         return terminal_inputs(self.matrix)
-
-    def terminal_inputs(self, terminal: str) -> list[str]:
-        """Inputs feeding a terminal, in the fixed decoder order.
-
-        Bottleneck bundles are named ``e<i>``; a direct edge is named by
-        its source node.
-        """
-        if terminal not in self.inputs:
-            raise ValueError(f"{terminal} is not a terminal")
-        return list(self.inputs[terminal])
 
 
 def require_nonzero_lines(a: IntMatrix) -> None:

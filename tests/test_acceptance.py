@@ -17,6 +17,9 @@ from conftest import (
     FIG4A_TRANSFER,
     mat,
     random_01_matrix,
+    rank_mod_p,
+    reference_code,
+    to_lists,
     transfer_feasible_bruteforce,
 )
 from sumnet.bounds import (
@@ -36,7 +39,7 @@ from sumnet.codes import (
     find_transfer_matrix,
     lift_code,
 )
-from sumnet.gf import PrimeField, rank_mod_p
+from sumnet.gf import PrimeField
 from sumnet.incidence import (
     all_subsets_design,
     fano,
@@ -45,7 +48,6 @@ from sumnet.incidence import (
     star_composite,
     steiner_triple,
 )
-from sumnet.instances import reference_code
 from sumnet.network import build_sum_network, min_cut
 from sumnet.report import generate_code
 from sumnet.verify import exhaustive_oracle, verify_exact
@@ -69,7 +71,7 @@ FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
 def test_c01_fano_rank_and_scalar_code():
     with criterion(1, "Fano plane: full GF(2) rank bound 1 and a verified rate-1 code"):
         a = fano().matrix
-        assert a.to_lists() == FANO_MATRIX
+        assert to_lists(a) == FANO_MATRIX
         assert rank_mod_p(bound_matrix(a), PrimeField(2)) == 7
         assert rank_bound(a, PrimeField(2)).bound == 1
         code = build_scalar_code(a, PrimeField(2))
@@ -103,7 +105,7 @@ def test_c03_fig4a_normal():
     with criterion(3, "irregular 4-vertex graph: bound 4/9, transfer matrix found, "
                       "both codes verify"):
         a = FIG4A.matrix
-        assert a.to_lists() == FIG4A_MATRIX
+        assert to_lists(a) == FIG4A_MATRIX
         net = build_sum_network(a)
         for p in (2, 3, 5):
             assert rank_bound(a, PrimeField(p)).bound == Fraction(4, 9)

@@ -4,11 +4,19 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FANO_MATRIX, FIG3_TRANSPOSE_BOUND_MATRIX, mat, random_01_matrix
+from conftest import (
+    FANO_MATRIX,
+    FIG3_TRANSPOSE_BOUND_MATRIX,
+    mat,
+    random_01_matrix,
+    rank_mod_p,
+    to_lists,
+)
 from sumnet.bounds import (
     SubsetSearchRefused,
     bound_matrix,
@@ -20,7 +28,7 @@ from sumnet.bounds import (
     support_product,
 )
 from sumnet.codes import overlap_residue
-from sumnet.gf import IntMatrix, PrimeField, rank_mod_p
+from sumnet.gf import IntMatrix, PrimeField
 from sumnet.incidence import (
     all_subsets_design,
     complete_graph,
@@ -47,38 +55,39 @@ def test_support_product_fano_blocks_pairwise_intersect():
 
 
 def test_support_product_identity():
-    i5 = IntMatrix.identity(5)
+    i5 = mat(np.eye(5, dtype=int))
     assert support_product(i5, i5) == i5
 
 
 def test_support_product_triangle_residue():
     a = from_graph(3, [(1, 2), (1, 3), (2, 3)]).matrix
-    gram = a.transpose().mul(a)
+    rows = np.array(to_lists(a))
+    gram = rows.T @ rows
     supp = support_product(a.transpose(), a)
     diff = [
-        [supp.at(i, j) - gram.at(i, j) for j in range(3)] for i in range(3)
+        [supp.at(i, j) - gram[i, j] for j in range(3)] for i in range(3)
     ]
     assert diff == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
 def test_support_product_dimension_mismatch():
     with pytest.raises(ValueError):
-        support_product(IntMatrix.identity(2), mat([[1], [1], [1]]))
+        support_product(mat(np.eye(2, dtype=int)), mat([[1], [1], [1]]))
 
 
 def test_bound_matrix_k2():
-    assert bound_matrix(mat([[1], [1]])).to_lists() == [[1, 0, 1], [0, 1, 1], [1, 1, 1]]
+    assert to_lists(bound_matrix(mat([[1], [1]]))) == [[1, 0, 1], [0, 1, 1], [1, 1, 1]]
 
 
 def test_bound_matrix_fig3_transpose_matches_printed():
     a = FIG3.matrix.transpose()
-    assert bound_matrix(a).to_lists() == FIG3_TRANSPOSE_BOUND_MATRIX
+    assert to_lists(bound_matrix(a)) == FIG3_TRANSPOSE_BOUND_MATRIX
 
 
 def test_bound_matrix_identity():
-    m = bound_matrix(IntMatrix.identity(3))
-    i3 = IntMatrix.identity(3).to_lists()
-    lists = m.to_lists()
+    m = bound_matrix(mat(np.eye(3, dtype=int)))
+    i3 = np.eye(3, dtype=int).tolist()
+    lists = to_lists(m)
     assert [row[:3] for row in lists[:3]] == i3
     assert [row[3:] for row in lists[:3]] == i3
     assert [row[:3] for row in lists[3:]] == i3
@@ -274,17 +283,18 @@ def test_closure_columns_matches_the_set_definition(a, data):
 @given(a=zero_one_matrices(max_rows=7, max_cols=8), char=st.sampled_from([2, 3, 5, 7]))
 def test_overlap_facts_match_the_integer_gram(a, char):
     # Reference: the integer Gram A^T A by plain matrix multiplication.
-    gram = a.transpose().mul(a).to_lists()
+    rows = np.array(to_lists(a))
+    gram = (rows.T @ rows).tolist()
     supp = [[1 if x > 0 else 0 for x in row] for row in gram]
-    assert support_product(a.transpose(), a).to_lists() == supp
-    assert support_product(a, IntMatrix.identity(a.cols)) == a  # not symmetric
+    assert to_lists(support_product(a.transpose(), a)) == supp
+    assert support_product(a, mat(np.eye(a.cols, dtype=int))) == a  # not symmetric
     diff = [[(x - s) % char for x, s in zip(row, srow)] for row, srow in zip(gram, supp)]
     residue = overlap_residue(a, PrimeField(char))
     assert residue.diagonal == tuple(diff[j][j] for j in range(a.cols))
     assert residue.is_diagonal == all(
         diff[i][j] == 0 for i in range(a.cols) for j in range(a.cols) if i != j
     )
-    assert [row[a.rows:] for row in bound_matrix(a).to_lists()[a.rows:]] == supp
+    assert [row[a.rows:] for row in to_lists(bound_matrix(a))[a.rows:]] == supp
 
 
 def _brute_force_terms(a, field, max_size):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat, reference_exhaustive, reference_random, reference_symbols
+from conftest import (
+    REFERENCE_CODES,
+    mat,
+    reference_code,
+    reference_exhaustive,
+    reference_random,
+    reference_symbols,
+)
 from sumnet.codes import (
     Decoder,
     NetworkCode,
@@ -20,7 +27,7 @@ from sumnet.codes import (
 )
 from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph
-from sumnet.instances import REFERENCE_CODES, get_instance, reference_code
+from sumnet.instances import get_instance
 from sumnet.network import bottleneck_sources, build_sum_network, source_offset
 from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import _random_blocks, exhaustive_oracle, verify_exact, verify_random
