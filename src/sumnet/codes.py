@@ -38,6 +38,7 @@ as 2^63 - 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -466,10 +467,13 @@ def export_code(code: NetworkCode) -> str:
     return "".join(_sections(code))
 
 
+_ENTRIES = re.compile(" *[0-9][0-9 ]*")  # ASCII digits and spaces, one digit at least
+
+
 def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np.ndarray:
     """A code matrix; only rows of decimal digits and spaces reach numpy."""
     block = " ".join(lines)
-    digits = block.isascii() and block.replace(" ", "").isdigit()
+    digits = _ENTRIES.fullmatch(block)
     entries = np.fromstring(block, dtype=np.int64, sep=" ") if digits else None
     if entries is None or entries.max() >= (1 << 63) - 1:
         raise ValueError(f"{name} has an entry outside the decimal integers in [0, 2^63 - 1)")

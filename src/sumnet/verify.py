@@ -209,14 +209,6 @@ def _sum_map(net: SumNetwork, m: int) -> np.ndarray:
     return np.hstack([np.eye(m, dtype=np.int64)] * (net.r + net.c))
 
 
-def _unit_witness(net: SumNetwork, m: int, col: int) -> dict[str, tuple[int, ...]]:
-    labels = net.sources()
-    block, comp = divmod(col, m)
-    vec = [0] * m
-    vec[comp] = 1
-    return {labels[block]: tuple(vec)}
-
-
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     """Prove or refute the code by composing decoder and bundle maps.
 
@@ -245,8 +237,9 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
         composite %= p  # the unreduced sum stays within _check_dimensions' limit
         diff = composite != target
         if np.any(diff):
-            col = int(np.flatnonzero(diff.any(axis=0))[0])
-            failures.append((terminal, _unit_witness(net, m, col)))
+            unit = np.zeros(target.shape[1], dtype=np.int64)
+            unit[np.flatnonzero(diff.any(axis=0))[0]] = 1
+            failures.append((terminal, _assignment(net, m, unit)))
     return VerifyReport(
         mode="exact-basis",
         ok=not failures,
