@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     REFERENCE_CODES,
     mat,
+    message_offsets,
     reference_code,
     reference_exhaustive,
     reference_random,
@@ -28,7 +29,7 @@ from sumnet.codes import (
 from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph
 from sumnet.instances import get_instance
-from sumnet.network import bottleneck_sources, build_sum_network, source_offset
+from sumnet.network import bottleneck_sources, build_sum_network
 from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import _random_blocks, exhaustive_oracle, verify_exact, verify_random
 
@@ -298,9 +299,10 @@ def small_code(name):
 
 def fed_columns(net, code, i):
     """Columns of encoder e<i> that belong to the sources feeding it."""
+    offsets = message_offsets(net.r, net.c, code.m)
     cols = []
     for label in bottleneck_sources(net.matrix, i):
-        off = source_offset(net.r, code.m, label)
+        off = offsets[label]
         cols.extend(range(off, off + code.m))
     return cols
 
@@ -342,6 +344,7 @@ def python_int_failures(net, code):
     """
     p, m, width = code.p, code.m, code.alpha * code.n
     dim = m * (net.r + net.c)
+    offsets = message_offsets(net.r, net.c, m)
     failures = []
     for terminal in net.terminals():
         dec = code.decoders[terminal]
@@ -351,7 +354,7 @@ def python_int_failures(net, code):
                 bundle = code.encoders[int(label[1:]) - 1].astype(object)
             else:
                 bundle = np.zeros((width, dim), dtype=object)
-                off = source_offset(net.r, m, label)
+                off = offsets[label]
                 for k in range(m):
                     ell, u = divmod(k, m // code.alpha)
                     bundle[ell * code.n + u, off + k] = 1
