@@ -264,41 +264,31 @@ def to_lists(m: IntMatrix) -> list[list[int]]:
     return [list(m.row(i)) for i in range(m.rows)]
 
 
-def _rank_rows_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of a list of rows over GF(p).
+def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
+    """Rank of m over GF(p), entries reduced mod p.
 
     Deterministic Gaussian elimination: pivots are the first nonzero entry
     scanning columns left to right, rows top to bottom.
     """
-    work = [[x % p for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
+    p = field.p
+    work = [[x % p for x in row] for row in to_lists(m)]
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if work[r][col]:
-                pivot = r
-                break
+    for col in range(m.cols):
+        pivot = next((r for r in range(rank, m.rows) if work[r][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         inv = pow(work[rank][col], -1, p)
         prow = [(x * inv) % p for x in work[rank]]
         work[rank] = prow
-        for r in range(rank + 1, nrows):
+        for r in range(rank + 1, m.rows):
             f = work[r][col]
             if f:
                 work[r] = [(a - f * b) % p for a, b in zip(work[r], prow)]
         rank += 1
-        if rank == nrows:
+        if rank == m.rows:
             break
     return rank
-
-
-def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
-    """Rank of m with entries reduced mod the field characteristic."""
-    return _rank_rows_mod_p(to_lists(m), field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +296,14 @@ def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
 #
 # Known-good codes for the paper's worked examples, independent of the
 # generators in ``sumnet.codes``: k2, and the irregular 4-vertex graph of
-# Fig. 4a in both orientations.  Component maps are written as literal tables.  Encoder rows list
-# (source label, message component, coefficient) terms; decoder rows list
-# (input position, bundle component, coefficient) terms.  Coefficients
-# are reduced mod p when the arrays are assembled, so one table serves
-# every characteristic.  Message coordinates come from ``message_offsets``,
-# not ``network.source_offset``, so a layout fault shared by the generators
-# and the verifier shows as a disagreement with these codes.
+# Fig. 4a in both orientations.  Component maps are written as literal
+# tables.  Encoder rows list (source label, message component, coefficient)
+# terms; decoder rows list (input position, bundle component, coefficient)
+# terms.  Coefficients are reduced mod p when the arrays are assembled, so
+# one table serves every characteristic.  Message coordinates come from
+# ``message_offsets``, not ``network.source_offset``, so a layout fault
+# shared by the generators and the verifier shows as a disagreement with
+# these codes.
 
 _EncRow = list[tuple[str, int, int]]
 _DecRow = list[tuple[int, int, int]]
