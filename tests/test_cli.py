@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from sumnet import cli, codes
 from sumnet.bounds import family_bound
 from sumnet.cli import main
@@ -322,6 +324,32 @@ def test_code_refuses_characteristic_beyond_int64(capsys):
     assert status == 1
     assert "4294967311" in err and "2^63" in err
     assert "FAILED" not in out
+
+
+@pytest.mark.parametrize("argv,err", [
+    # The scalar code's entries are 0 and 1: it builds, and the verifier refuses it.
+    (("--k2", "--transpose"),
+     "error: characteristic p=9223372036854775837 is too large for exact int64 verification: "
+     "(p-1)^2 * 3 must stay below 2^63, so p <= 1753413057 for this code\n"),
+    # The transfer code writes -mu mod p into its decoders: it refuses to build.
+    (("--k2",),
+     "error: characteristic p=9223372036854775837 is too large for int64 code matrices: "
+     "decoder coefficients mod p must stay below 2^63\n"),
+])
+def test_code_refusal_messages_beyond_int64(capsys, argv, err):
+    assert run(capsys, "code", *argv, "--char", "9223372036854775837") == (1, "", err)
+
+
+@pytest.mark.parametrize("spec,err", [
+    ("0-3-4-1", "need 1 <= k <= v"),  # before the t check
+    ("2-3-0-1", "need 1 <= k <= v"),
+    ("0-4-3-1", "t must be at least 1"),
+    ("4-4-3-1", "no built-in construction for a 4-(4,3,1) design; supply a structure file instead"),
+    ("2-5-3-2", "no built-in construction for a 2-(5,3,2) design; supply a structure file instead"),
+    ("2-x-3-1", "bad design spec '2-x-3-1'; expected t-v-k-lam"),
+])
+def test_design_spec_refusals(capsys, spec, err):
+    assert run(capsys, "bound", "--design", spec, "--char", "2") == (1, "", f"error: {err}\n")
 
 
 def test_bound_decides_a_large_characteristic_quickly(capsys):

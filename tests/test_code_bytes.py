@@ -31,6 +31,7 @@ from sumnet.instances import get_instance
 from sumnet.report import generate_code
 
 STRUCTURES = {
+    "k2": (lambda: get_instance("k2").build(), "graph"),
     "sts-7": (lambda: steiner_triple(7), "bibd"),
     "sts-9": (lambda: steiner_triple(9), "bibd"),
     "sts-13": (lambda: steiner_triple(13), "bibd"),
@@ -92,6 +93,17 @@ LADDER = {
         "bcb4cbbad9f8889971e3651e9c54d471bd9a0ba326b1eea19151f87cc83bc151",
     ("K5", "transpose", 2**63 - 25, 1):
         "931d59e92a050693302a781bfb0f2d9914585cf1f1be9d642bf768b1a4d81f1a",
+    # Scalar codes: rate 1, partial sums only.
+    ("sts-7", "normal", 2, 1):
+        "95a6e995c705189b71ee3184b8acfd7a43067b04c25af6351e6e6aad96b4bf38",
+    ("sts-9", "normal", 2, 1):
+        "2d14121c45306e7308487a333b6d9b41382dbaf21c332566de052357a70bd2cf",
+    ("sts-13", "normal", 2, 1):
+        "947cc2bd2cb64865c1dbe2d58a33e038597071021636b4063086d3ce60b1928a",
+    ("sts-7", "normal", 2, 2):
+        "2c6cd4da5811b4a773d9d92ebe9f4ebe314cf36e10b1717fe5b5329e156cf3a3",
+    ("k2", "transpose", 2, 1):
+        "219f188f0370273009b267d98ceafdd7eddca8e043f9007817a8e66529c0e2df",
 }
 
 

@@ -209,6 +209,17 @@ def test_scalar_code_higher_char2():
     assert verify_exact(build_sum_network(h.matrix), code).ok
 
 
+def test_scalar_code_builds_at_any_prime():
+    # Its entries are 0 and 1, so even p >= 2^63 builds; the verifiers refuse it.
+    p = 9223372036854775837
+    a = K2.matrix.transpose()
+    code = build_scalar_code(a, PrimeField(p))
+    assert (code.m, code.n, code.p) == (1, 1, p)
+    assert all(enc.max() == 1 for enc in code.encoders)
+    with pytest.raises(ValueError, match=r"\(p-1\)\^2 \* 3 must stay below 2\^63"):
+        verify_exact(build_sum_network(a), code)
+
+
 def test_scalar_code_precondition():
     with pytest.raises(NoApplicableCode, match="not congruent"):
         build_scalar_code(TRIANGLE.matrix, PrimeField(2))

@@ -1,5 +1,6 @@
 """Incidence structures, designs, and their constructors."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -114,6 +115,19 @@ def test_validate_design_k4():
 def test_validate_design_irregular_graph():
     g = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
     assert validate_design(g, 1) is None  # degrees 3,2,3,2
+
+
+@pytest.mark.parametrize("v", range(1, 8))
+def test_all_subsets_design_lambda_is_a_binomial(v):
+    # The CLI decides design specs by this arithmetic instead of building them.
+    for k in range(1, v + 1):
+        struct = all_subsets_design(v, k)
+        for t in range(1, v + 2):
+            params = validate_design(struct, t)
+            if t <= k:
+                assert params is not None and params.lam == math.comb(v - t, k - t)
+            else:
+                assert params is None
 
 
 def test_detect_design():

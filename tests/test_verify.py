@@ -249,6 +249,24 @@ def test_verifiers_refuse_non_prime_characteristics(p):
             check()
 
 
+def test_primality_is_refused_before_locality():
+    # Two faults: Z/4 is not a field, and e1 reads s_p2's message, which does not feed it.
+    code = build_transfer_code(K2_MATRIX, PrimeField(3))
+    encoders = [e.copy() for e in code.encoders]
+    encoders[0][0, 2] = 1
+    net = build_sum_network(K2_MATRIX)
+    for p, want in ((3, "outside the sources feeding it"), (4, "p=4 is not a prime")):
+        bad = NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
+                          tuple(encoders), code.decoders)
+        for check in (
+            lambda: verify_exact(net, bad),
+            lambda: verify_random(net, bad, 5, 1),
+            lambda: exhaustive_oracle(net, bad, 10**6),
+        ):
+            with pytest.raises(ValueError, match=want):
+                check()
+
+
 @pytest.mark.parametrize("target,entry", [
     ("encoder e1", 1 + 3 * 2**61),
     ("encoder e1", -2),
