@@ -12,7 +12,8 @@ decoder matrices over GF(p):
   Exclusive cumulative sums of that matrix lay the pieces out: down a
   column they give a piece's message coordinate, across a row its slot.
 * ``build_scalar_code`` -- the (1, 1) code, applicable when A^T A is
-  congruent to its support indicator mod p.
+  congruent to its support indicator mod p: the transfer assembly on a
+  block of one row and no columns, so partial sums alone.
 * ``build_graph_transpose_code`` -- the (b', b'+v') code for the
   transposed network of an irregular graph, where P' collects vertices
   with degree not congruent to 1 and B' the edges meeting them.  It is
@@ -219,28 +220,6 @@ def check_transfer_matrix(
 
 
 # ---------------------------------------------------------------------------
-# shared encoder/decoder assembly helpers
-
-
-def _partial_sum_encoder(a: IntMatrix, i: int, m: int, n: int) -> np.ndarray:
-    """Encoder of bottleneck e<i> with its partial-sum block written: the
-    identity on the message of every source feeding it, in components 0..m-1."""
-    enc = np.zeros((n, m * (a.rows + a.cols)), dtype=np.int64)
-    for label in bottleneck_sources(a, i):
-        off = source_offset(a.rows, m, label)
-        enc[:m, off : off + m] = np.eye(m, dtype=np.int64)
-    return enc
-
-
-def _sum_decoders(a: IntMatrix, m: int, n: int) -> dict[str, Decoder]:
-    """Every terminal's decoder, adding the first m components of each input bundle."""
-    block = np.eye(m, n, dtype=np.int64)
-    return {
-        t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in terminal_inputs(a).items()
-    }
-
-
-# ---------------------------------------------------------------------------
 # the three constructions
 
 
@@ -256,21 +235,31 @@ def _assemble_transfer(
     Cell (ri, cj) of ``d`` is the length of the piece of column col_ids[cj]'s
     message that row row_ids[ri] ferries.  The exclusive cumulative sum of ``d``
     down column cj is the piece's message coordinate; m plus the one across
-    row ri is its slot in that row's bundle.
+    row ri is its slot in that row's bundle.  Only a weighted piece needs
+    -mu mod p below 2^63: an empty block writes entries 0 and 1 alone.
     """
-    if p >= 1 << 63:
-        raise ValueError(
-            f"characteristic p={p} is too large for int64 code matrices: "
-            "decoder coefficients mod p must stay below 2^63"
-        )
     r, c = a.rows, a.cols
     m, n = len(row_ids), len(row_ids) + len(col_ids)
     assert all(mu[j - 1] % p == 0 for j in range(1, c + 1) if j not in col_ids)
     lengths = np.array(d.entries, dtype=np.int64).reshape(d.rows, d.cols)
+    if p >= 1 << 63 and lengths.any():
+        raise ValueError(
+            f"characteristic p={p} is too large for int64 code matrices: "
+            "decoder coefficients mod p must stay below 2^63"
+        )
     starts = np.cumsum(lengths, axis=0) - lengths
     slots = m + np.cumsum(lengths, axis=1) - lengths
-    encoders = [_partial_sum_encoder(a, i, m, n) for i in range(1, r + 1)]
-    decoders = _sum_decoders(a, m, n)
+    # Partial sums: each bottleneck's first m components add the messages of
+    # the sources feeding it, and each decoder adds those of its inputs.
+    encoders = [np.zeros((n, m * (r + c)), dtype=np.int64) for _ in range(r)]
+    for i, enc in enumerate(encoders, start=1):
+        for label in bottleneck_sources(a, i):
+            off = source_offset(r, m, label)
+            enc[:m, off : off + m] = np.eye(m, dtype=np.int64)
+    block = np.eye(m, n, dtype=np.int64)
+    decoders = {
+        t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in terminal_inputs(a).items()
+    }
     for ri, cj in zip(*np.nonzero(lengths)):
         i, j = row_ids[ri], col_ids[cj]
         length, start, slot = lengths[ri, cj], starts[ri, cj], slots[ri, cj]
@@ -324,12 +313,8 @@ def build_scalar_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
             "scalar code condition failed: A^T A is not congruent to its "
             f"support indicator mod {field.p}"
         )
-    r, c = a.rows, a.cols
-    p = field.p
-    m = n = 1
-    encoders = [_partial_sum_encoder(a, i, 1, 1) for i in range(1, r + 1)]
-    decoders = _sum_decoders(a, 1, 1)
-    return NetworkCode(m, n, p, 1, r, c, tuple(encoders), decoders)
+    # The transfer assembly on a block of one row and no columns: partial sums alone.
+    return _assemble_transfer(a, field.p, (1,), (), IntMatrix(1, 0, ()), residue.diagonal)
 
 
 def build_graph_transpose_code(

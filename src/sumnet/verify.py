@@ -5,17 +5,22 @@ each terminal's decoder with the global maps of its input bundles and
 compares the result with the all-ones block map [I_m | I_m | ... | I_m].
 A bottleneck block is multiplied by that bottleneck's encoder restricted to
 its feeding columns, the message coordinates of the sources feeding it;
-``_check_locality`` has proven every other column zero, so only those
+``_check`` has proven every other column zero, so only those
 columns of the composite receive the product.  A direct edge carries its
 source's message uncoded, so its block is scattered through the layout
 ``_direct_layout`` shares with the simulator.  The composite is reduced
 mod p once per terminal, after every input is added: with entries below p
 the unreduced sum stays within (p-1)^2 times the decoder's width, which
-``_check_dimensions`` keeps below 2^63.  Restricting a product to its
+``_check`` keeps below 2^63.  Restricting a product to its
 feeding columns drops only zero terms, so no inner dimension grows and
 that argument is unchanged.  The composite is still the full map, and
 equality of those matrices is equivalent to correct decoding of every
 message tuple, so a passing report is a proof, not a sample.
+
+Every verifier admits a code through ``_check`` first.  It refuses, in this
+order, wrong shapes or alpha, a characteristic past the int64 limit, a
+non-prime characteristic, an entry outside [0, p), an encoder that reads a
+source not feeding it, and a decoder with the wrong inputs or shape.
 
 ``verify_random`` re-checks by simulating topological edge propagation on
 pseudorandom messages; it exists as an independent cross-check and demo.
@@ -127,19 +132,15 @@ def _direct_layout(net: SumNetwork, code: NetworkCode, label: str):
     return np.array(comps, dtype=np.intp), np.arange(off, off + m)
 
 
-def _feeding_masks(net: SumNetwork, m: int) -> list[np.ndarray]:
-    """Per bottleneck, the stacked-vector coordinates of the sources feeding it."""
-    masks = []
-    for i in range(1, net.r + 1):
-        mask = np.zeros(m * (net.r + net.c), dtype=bool)
-        for label in bottleneck_sources(net.matrix, i):
-            off = source_offset(net.r, m, label)
-            mask[off : off + m] = True
-        masks.append(mask)
-    return masks
+def _check(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Admit a code to the verifiers, or raise naming the first fault.
 
-
-def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
+    In order: shapes and alpha, the int64 limit, primality, the entry range,
+    encoder locality, then each decoder's inputs and shape.  Returns (encoder
+    restricted to its feeding columns, those columns) per encoder: the
+    feeding columns are the coordinates of the sources feeding it, and every
+    other column is checked here to be zero.
+    """
     if (net.r, net.c) != (code.rows, code.cols):
         raise ValueError(
             f"code is for a {code.rows}x{code.cols} matrix, network has "
@@ -149,7 +150,8 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
         raise ValueError(f"code alpha {code.alpha} != network alpha {net.alpha}")
     if code.m % code.alpha:
         raise ValueError("m must be divisible by alpha")
-    width = code.m * (net.r + net.c)
+    m = code.m
+    width = m * (net.r + net.c)
     for i, enc in enumerate(code.encoders, start=1):
         if enc.shape != (code.alpha * code.n, width):
             raise ValueError(f"encoder e{i} has shape {enc.shape}")
@@ -174,18 +176,12 @@ def _check_dimensions(net: SumNetwork, code: NetworkCode) -> None:
     for name, mat in matrices:
         if mat.size and (mat.min() < 0 or mat.max() >= code.p):
             raise ValueError(f"{name} has an entry outside [0, {code.p})")
-
-
-def _check_locality(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Structural validity: encoders and decoders read only what reaches them.
-
-    Returns (encoder restricted to its feeding columns, those columns) per
-    encoder.  The feeding columns are the coordinates of the sources feeding
-    it, and every other column is checked here to be zero.
-    """
-    m = code.m
     fed = []
-    for i, (enc, allowed) in enumerate(zip(code.encoders, _feeding_masks(net, m)), start=1):
+    for i, enc in zip(range(1, net.r + 1), code.encoders):
+        allowed = np.zeros(width, dtype=bool)
+        for label in bottleneck_sources(net.matrix, i):
+            off = source_offset(net.r, m, label)
+            allowed[off : off + m] = True
         if np.any(enc[:, ~allowed]):
             raise ValueError(
                 f"encoder e{i} uses a message outside the sources feeding it"
@@ -205,22 +201,17 @@ def _check_locality(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray
     return fed
 
 
-def _sum_map(net: SumNetwork, m: int) -> np.ndarray:
-    return np.hstack([np.eye(m, dtype=np.int64)] * (net.r + net.c))
-
-
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     """Prove or refute the code by composing decoder and bundle maps.
 
     ok means every terminal's composite map equals the sum map, i.e. the
     code is correct for all q^(m(r+c)) messages.
     """
-    _check_dimensions(net, code)
-    fed = _check_locality(net, code)
+    fed = _check(net, code)
     p = code.p
     m = code.m
     width = code.alpha * code.n
-    target = _sum_map(net, m)
+    target = np.tile(np.eye(m, dtype=np.int64), net.r + net.c)
     directs = {label: _direct_layout(net, code, label) for label in net.sources()}
     failures = []
     for terminal in net.terminals():
@@ -234,7 +225,7 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
             else:
                 comps, coords = directs[x]
                 composite[:, coords] += block[:, comps]
-        composite %= p  # the unreduced sum stays within _check_dimensions' limit
+        composite %= p  # the unreduced sum stays within _check's int64 limit
         diff = composite != target
         if np.any(diff):
             unit = np.zeros(target.shape[1], dtype=np.int64)
@@ -304,8 +295,7 @@ def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) ->
     """Simulate the code on seeded pseudorandom messages (reproducible)."""
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    _check_dimensions(net, code)
-    fed = _check_locality(net, code)
+    fed = _check(net, code)
     dim = code.m * (net.r + net.c)
     failures = _failures(net, code, fed, _random_blocks(seed, code.p, trials, dim))
     return VerifyReport(
@@ -319,8 +309,7 @@ def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) ->
 
 def exhaustive_oracle(net: SumNetwork, code: NetworkCode, limit: int) -> VerifyReport:
     """Check every message tuple outright; refuses when q^dim exceeds limit."""
-    _check_dimensions(net, code)
-    fed = _check_locality(net, code)
+    fed = _check(net, code)
     p = code.p
     dim = code.m * (net.r + net.c)
     total = p**dim
