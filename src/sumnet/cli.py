@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -52,21 +53,28 @@ def _parse_chars(text: str) -> list[int]:
 
 
 def _parse_design_spec(text: str) -> tuple[IncidenceStructure, str]:
-    """Resolve a 't-v-k-lam' design spec to a built-in construction."""
+    """Resolve a 't-v-k-lam' design spec to a built-in construction.
+
+    Besides Steiner triple systems, the one built-in is the design of all
+    k-subsets of v points, a t-(v, k, C(v-t, k-t)) design for each t <= k;
+    so a spec is decided by arithmetic before anything is built.
+    """
     try:
         t, v, k, lam = (int(x) for x in text.split("-"))
     except ValueError as exc:
         raise CliError(f"bad design spec {text!r}; expected t-v-k-lam") from exc
     if t == 2 and k == 3 and lam == 1:
         return incidence.steiner_triple(v), f"2-({v},3,1)"
-    struct = incidence.all_subsets_design(v, k)
-    params = incidence.validate_design(struct, t)
-    if params is None or params.lam != lam:
+    if not 1 <= k <= v:
+        raise ValueError("need 1 <= k <= v")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if t > k or math.comb(v - t, k - t) != lam:
         raise CliError(
             f"no built-in construction for a {t}-({v},{k},{lam}) design; "
             "supply a structure file instead"
         )
-    return struct, f"{t}-({v},{k},{lam})"
+    return incidence.all_subsets_design(v, k), f"{t}-({v},{k},{lam})"
 
 
 def _resolve_source(spec: str) -> tuple[IncidenceStructure, str, str]:
@@ -315,57 +323,44 @@ def cmd_code(args) -> int:
 # table
 
 
-def _paper_all_specs() -> list[RowSpec]:
-    k2 = get_instance("k2").build()
-    triangle = get_instance("triangle").build()
-    fig3 = get_instance("fig3").build()
-    fig4a = get_instance("fig4a").build()
-    star = get_instance("star-composite").build()
-    fano_s = incidence.fano()
-    sts7 = incidence.steiner_triple(7)
-    sts9 = incidence.steiner_triple(9)
-    base432 = incidence.all_subsets_design(4, 3)
-    higher432 = incidence.higher_incidence(base432)
-    specs = []
-    specs += [RowSpec("k2", k2, "graph", "normal", p) for p in (2, 3, 5)]
-    specs += [RowSpec("k2", k2, "graph", "transpose", p) for p in (2, 3)]
-    specs += [RowSpec("triangle", triangle, "graph", "normal", p) for p in (2, 3)]
-    specs += [RowSpec("fano", fano_s, "bibd", "normal", p) for p in (2, 3)]
-    specs += [RowSpec("fano", fano_s, "bibd", "transpose", p) for p in (2, 3)]
-    specs.append(RowSpec("fig3", fig3, "graph", "transpose", 3))
-    specs += [RowSpec("fig4a", fig4a, "graph", "normal", p) for p in (2, 3, 5)]
-    specs += [RowSpec("fig4a", fig4a, "graph", "transpose", p) for p in (2, 3)]
-    specs += [RowSpec("star-composite", star, "graph", "transpose", p) for p in (2, 3, 5)]
-    specs += [RowSpec("sts-7", sts7, "bibd", "normal", p) for p in (2, 3, 5)]
-    specs += [RowSpec("sts-9", sts9, "bibd", "normal", p) for p in (2, 3, 5)]
-    specs += [RowSpec("higher(2-(4,3,2))", higher432, "higher", "normal", p) for p in (2, 3)]
-    specs += [RowSpec("higher(2-(4,3,2))", higher432, "higher", "transpose", p) for p in (2, 3)]
-    specs.append(RowSpec("2-(4,3,2)", base432, "tdesign", "normal", 2))
-    specs.append(RowSpec("2-(4,3,2)", base432, "tdesign", "transpose", 2))
-    specs.append(RowSpec("2-(4,3,2)", base432, "tdesign", "transpose", 5))
-    return specs
+# table paper-all: (source spec, orientation, characteristics), in row order
+_PAPER_ALL = (
+    ("k2", "normal", (2, 3, 5)),
+    ("k2", "transpose", (2, 3)),
+    ("triangle", "normal", (2, 3)),
+    ("fano", "normal", (2, 3)),
+    ("fano", "transpose", (2, 3)),
+    ("fig3", "transpose", (3,)),
+    ("fig4a", "normal", (2, 3, 5)),
+    ("fig4a", "transpose", (2, 3)),
+    ("star-composite", "transpose", (2, 3, 5)),
+    ("sts:7", "normal", (2, 3, 5)),
+    ("sts:9", "normal", (2, 3, 5)),
+    ("higher:2-4-3-2", "normal", (2, 3)),
+    ("higher:2-4-3-2", "transpose", (2, 3)),
+    ("design:2-4-3-2", "normal", (2,)),
+    ("design:2-4-3-2", "transpose", (2, 5)),
+)
 
 
 def cmd_table(args) -> int:
+    specs = []
     if args.scenario == "paper-all":
-        specs = _paper_all_specs()
+        for source, orientation, chars in _PAPER_ALL:
+            struct, family, label = _resolve_source(source)
+            specs += [RowSpec(label, struct, family, orientation, p) for p in chars]
     elif args.scenario == "sts":
         if not (args.v and args.char):
             raise CliError("table sts needs --v and --char")
-        specs = []
-        for v in (int(x) for x in args.v.split(",")):
-            struct = incidence.steiner_triple(v)
-            for p in _parse_chars(args.char):
-                specs.append(RowSpec(f"sts-{v}", struct, "bibd", "normal", p))
+        for v in args.v.split(","):
+            struct, family, label = _resolve_source(f"sts:{v}")
+            specs += [RowSpec(label, struct, family, "normal", p) for p in _parse_chars(args.char)]
     elif args.scenario == "higher":
         if not (args.design and args.char):
             raise CliError("table higher needs --design and --char")
-        base, label = _parse_design_spec(args.design)
-        struct = incidence.higher_incidence(base)
-        specs = []
+        struct, family, label = _resolve_source(f"higher:design:{args.design}")
         for p in _parse_chars(args.char):
-            specs.append(RowSpec(f"higher({label})", struct, "higher", "normal", p))
-            specs.append(RowSpec(f"higher({label})", struct, "higher", "transpose", p))
+            specs += [RowSpec(label, struct, family, o, p) for o in ("normal", "transpose")]
     elif args.scenario == "higher-family":
         ts = [int(x) for x in (args.t or "2,3").split(",")]
         capacities = [report_mod.higher_family_capacity(t) for t in ts]  # refuses before output

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from sumnet import cli, codes
+from sumnet import cli, codes, incidence
 from sumnet.bounds import family_bound
 from sumnet.cli import main
 from sumnet.codes import import_code
@@ -350,6 +350,16 @@ def test_code_refusal_messages_beyond_int64(capsys, argv, err):
 ])
 def test_design_spec_refusals(capsys, spec, err):
     assert run(capsys, "bound", "--design", spec, "--char", "2") == (1, "", f"error: {err}\n")
+
+
+def test_design_spec_is_refused_without_building_it(capsys, monkeypatch):
+    # All 20-subsets of 40 points would be C(40,20), about 1.4e11 blocks.
+    def refuse(v, k):
+        raise AssertionError(f"built all {k}-subsets of {v} points")
+
+    monkeypatch.setattr(incidence, "all_subsets_design", refuse)
+    err = "error: no built-in construction for a 2-(40,20,1) design; supply a structure file instead\n"
+    assert run(capsys, "bound", "--design", "2-40-20-1", "--char", "2") == (1, "", err)
 
 
 def test_bound_decides_a_large_characteristic_quickly(capsys):
