@@ -17,10 +17,8 @@ that argument is unchanged.  The composite is still the full map, and
 equality of those matrices is equivalent to correct decoding of every
 message tuple, so a passing report is a proof, not a sample.
 
-Every verifier admits a code through ``_check`` first.  It refuses, in this
-order, wrong shapes or alpha, a characteristic past the int64 limit, a
-non-prime characteristic, an entry outside [0, p), an encoder that reads a
-source not feeding it, and a decoder with the wrong inputs or shape.
+All three verifiers admit a code through one gate, ``_check``, which refuses
+it with a ``ValueError`` naming the first fault found.
 
 ``verify_random`` re-checks by simulating topological edge propagation on
 pseudorandom messages; it exists as an independent cross-check and demo.
