@@ -497,6 +497,21 @@ def test_exhaustive_matches_the_per_tuple_reference(args, data):
     assert exhaustive_oracle(net, bad, 4096) == reference_exhaustive(net, bad)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(SIM_CASES),
+    p=st.sampled_from([2, 3, 5, 7]),
+    alpha=st.integers(1, 2),
+    data=st.data(),
+)
+def test_exact_matches_the_python_int_reference(case, p, alpha, data):
+    # Every composite built from independent global maps: a bottleneck block
+    # and a direct block alike, at alpha 2 on the leading slots of each edge.
+    net, code = sim_code(*case, p, alpha)
+    bad = corrupt_entries(net, code, data)
+    assert list(verify_exact(net, bad).failures) == python_int_failures(net, bad)
+
+
 # 6148914691236517223 is the first prime above 2^64/3: a third of all draws
 # fall at or above floor(2^64/p)*p = 2p and are rejected.  Every p the
 # verifiers accept rejects fewer than p/2^64 of them, so only this direct
