@@ -52,9 +52,9 @@ from .gf import IntMatrix, PrimeField, column_masks, residue_rows
 from .incidence import IncidenceStructure
 from .network import (
     _max_flow,
-    bottleneck_sources,
     col_source,
     col_terminal,
+    feeding_columns,
     require_nonzero_lines,
     source_offset,
     terminal_inputs,
@@ -253,9 +253,8 @@ def _assemble_transfer(
     # the sources feeding it, and each decoder adds those of its inputs.
     encoders = [np.zeros((n, m * (r + c)), dtype=np.int64) for _ in range(r)]
     for i, enc in enumerate(encoders, start=1):
-        for label in bottleneck_sources(a, i):
-            off = source_offset(r, m, label)
-            enc[:m, off : off + m] = np.eye(m, dtype=np.int64)
+        cols = feeding_columns(a, i, m)
+        enc[np.arange(len(cols)) % m, cols] = 1
     block = np.eye(m, n, dtype=np.int64)
     decoders = {
         t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in terminal_inputs(a).items()

@@ -278,7 +278,7 @@ def validate_design(struct: IncidenceStructure, t: int) -> Optional[DesignParams
         block_counts.append(num // den)
     if block_counts[0] != struct.num_blocks:
         return None
-    rho = block_counts[1] if t >= 1 else lam
+    rho = block_counts[1]
     if any(struct.point_degree(p) != rho for p in range(1, v + 1)):
         return None
     if struct.num_blocks * k != v * rho:

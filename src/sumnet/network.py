@@ -64,6 +64,11 @@ def bottleneck_sources(a: IntMatrix, i: int) -> list[str]:
     return [row_source(i)] + [col_source(j) for j in range(1, a.cols + 1) if a.at(i - 1, j - 1)]
 
 
+def feeding_columns(a: IntMatrix, i: int, m: int) -> list[int]:
+    """Coordinates of the messages feeding bottleneck e<i>, ascending: each source's m in turn."""
+    return [source_offset(a.rows, m, s) + k for s in bottleneck_sources(a, i) for k in range(m)]
+
+
 def terminal_inputs(a: IntMatrix) -> dict[str, list[str]]:
     """Canonical input order at every terminal, t_p1..t_pr then t_B1..t_Bc.
 

@@ -123,7 +123,7 @@ def generate_code(
             return codes_mod.build_graph_transpose_code(struct, field), "graph-transpose"
         except NoApplicableCode as exc:
             reasons.append(str(exc))
-    raise NoApplicableCode("; ".join(reasons) if reasons else "no construction applies")
+    raise NoApplicableCode("; ".join(reasons))
 
 
 def capacity_table(specs: Sequence[RowSpec]) -> list[CapacityRow]:

@@ -7,15 +7,16 @@ A bottleneck block is multiplied by that bottleneck's encoder restricted to
 its feeding columns, the message coordinates of the sources feeding it;
 ``_check`` has proven every other column zero, so only those
 columns of the composite receive the product.  A direct edge carries its
-source's message uncoded, so its block is scattered through the layout
-``_direct_layout`` shares with the simulator.  The composite is reduced
-mod p once per terminal, after every input is added: with entries below p
-the unreduced sum stays within (p-1)^2 times the decoder's width, which
-``_check`` keeps below 2^63.  Restricting a product to its
-feeding columns drops only zero terms, so no inner dimension grows and
-that argument is unchanged.  The composite is still the full map, and
-equality of those matrices is equivalent to correct decoding of every
-message tuple, so a passing report is a proof, not a sample.
+source's message uncoded, so a terminal's direct inputs are added in one
+gather through ``_bundles``, the layout of the stacked bundle values that
+the simulator shares.  The composite is reduced mod p once per terminal,
+after every input is added: with entries below p the unreduced sum stays
+within (p-1)^2 times the decoder's width, which ``_check`` keeps below
+2^63.  Restricting a product to its feeding columns drops only zero terms,
+so no inner dimension grows and that argument is unchanged.  The composite
+is still the full map, and equality of those matrices is equivalent to
+correct decoding of every message tuple, so a passing report is a proof,
+not a sample.
 
 All three verifiers admit a code through one gate, ``_check``, which refuses
 it with a ``ValueError`` naming the first fault found.
@@ -33,10 +34,10 @@ Both ``verify_random`` and ``exhaustive_oracle``, which enumerates every
 message tuple outright as the ground truth for ``verify_exact`` on tiny
 instances, simulate blocks of up to 64 trials at once: one message vector
 per column of a (dim x T) matrix, one product per encoder over its feeding
-rows, one scatter per direct source, all into one stacked array of bundle
-values, and one product per decoder over its nonzero columns.  Peak
-memory is bounded by the block, not by the trial count, and every report
-lists its failures in (trial, terminal) order.
+rows and one scatter of every direct slot, all into the stacked bundle
+values of ``_bundles``, and one product per decoder over its nonzero
+columns.  Peak memory is bounded by the block, not by the trial count, and
+every report lists its failures in (trial, terminal) order.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .codes import NetworkCode
 from .gf import is_prime
-from .network import SumNetwork, bottleneck_sources, source_offset
+from .network import SumNetwork, feeding_columns
 
 _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -117,33 +118,40 @@ class VerifyReport:
     seed: Optional[int] = None
 
 
-def _direct_layout(net: SumNetwork, code: NetworkCode, label: str):
-    """Where a direct-edge bundle carries its source's message.
+def _bundles(net: SumNetwork, code: NetworkCode):
+    """The layout of the stacked bundle values: bottlenecks e1..er, then one
+    direct bundle per source in message order, each alpha*n rows.
 
-    Parallel edge l carries message slice [l*m/alpha, (l+1)*m/alpha) in its
-    leading slots.  Returns (bundle components, stacked-vector coordinates).
+    Returns (terminal, stacked rows its decoder reads) pairs, each built as it
+    is reached, and for every stacked row the message coordinate a direct edge
+    carries there, -1 elsewhere: parallel edge l carries message slice
+    [l*m/alpha, (l+1)*m/alpha) in its leading slots.
     """
-    m, n = code.m, code.n
-    slice_len = m // code.alpha
-    comps = [ell * n + u for ell in range(code.alpha) for u in range(slice_len)]
-    off = source_offset(net.r, m, label)
-    return np.array(comps, dtype=np.intp), np.arange(off, off + m)
+    width, piece = code.alpha * code.n, code.m // code.alpha
+    labels = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
+    start = {label: k * width for k, label in enumerate(labels)}
+    reads = ((t, np.add.outer([start[x] for x in code.decoders[t].inputs], range(width)).ravel())
+             for t in net.terminals())
+    carries = np.full((len(labels), code.alpha, code.n), -1, dtype=np.intp)
+    direct = np.arange(code.m * (net.r + net.c)).reshape(-1, code.alpha, piece)
+    carries[net.r :, :, :piece] = direct
+    return reads, carries.ravel()
 
 
-def _check(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndarray]]:
+def _check(net: SumNetwork, code: NetworkCode) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Admit a code to the verifiers, or raise naming the first fault.
 
-    In order: shapes and alpha, the int64 limit, primality, the entry range,
-    encoder locality, then each decoder's inputs and shape.  Returns (encoder
-    restricted to its feeding columns, those columns) per encoder: the
-    feeding columns are the coordinates of the sources feeding it, and every
-    other column is checked here to be zero.
+    In order: shapes, encoder count and alpha, the int64 limit, primality,
+    the entry range, encoder locality, then each decoder's inputs and shape.
+    Returns (encoder restricted to its feeding columns, those columns) per
+    bottleneck label e<i>: the feeding columns are the coordinates of the
+    sources feeding it, and every other column is checked here to be zero.
     """
     if (net.r, net.c) != (code.rows, code.cols):
-        raise ValueError(
-            f"code is for a {code.rows}x{code.cols} matrix, network has "
-            f"{net.r}x{net.c}"
-        )
+        shapes = f"{code.rows}x{code.cols} matrix, network has {net.r}x{net.c}"
+        raise ValueError(f"code is for a {shapes}")
+    if len(code.encoders) != net.r:
+        raise ValueError(f"code has {len(code.encoders)} encoders, network has {net.r} bottlenecks")
     if net.alpha != code.alpha:
         raise ValueError(f"code alpha {code.alpha} != network alpha {net.alpha}")
     if code.m % code.alpha:
@@ -155,9 +163,10 @@ def _check(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndar
             raise ValueError(f"encoder e{i} has shape {enc.shape}")
     # verify_exact sums a terminal's inputs unreduced.  With entries below p, a
     # bottleneck input adds at most W(p-1)^2 to an entry of the composite, W the
-    # bundle width alpha*n, and a direct input at most p-1; so the composite
-    # stays within (p-1)^2 times the decoder's width, and that width and every
-    # product's inner dimension are at most ``inner``.
+    # bundle width alpha*n, and the direct inputs at most p-1, as a terminal's
+    # direct sources are distinct and feed none of its bottlenecks.  So the
+    # composite stays within (p-1)^2 times the decoder's width, and that width
+    # and every product's inner dimension are at most ``inner``.
     inner = max([width] + [dec.matrix.shape[1] for dec in code.decoders.values()])
     if (code.p - 1) ** 2 * inner >= 1 << 63:
         limit = math.isqrt(((1 << 63) - 1) // inner) + 1
@@ -174,26 +183,19 @@ def _check(net: SumNetwork, code: NetworkCode) -> list[tuple[np.ndarray, np.ndar
     for name, mat in matrices:
         if mat.size and (mat.min() < 0 or mat.max() >= code.p):
             raise ValueError(f"{name} has an entry outside [0, {code.p})")
-    fed = []
-    for i, enc in zip(range(1, net.r + 1), code.encoders):
-        allowed = np.zeros(width, dtype=bool)
-        for label in bottleneck_sources(net.matrix, i):
-            off = source_offset(net.r, m, label)
-            allowed[off : off + m] = True
-        if np.any(enc[:, ~allowed]):
-            raise ValueError(
-                f"encoder e{i} uses a message outside the sources feeding it"
-            )
-        fed.append((enc[:, allowed], np.flatnonzero(allowed)))
+    fed = {}
+    for i, enc in enumerate(code.encoders, start=1):
+        cols = np.array(feeding_columns(net.matrix, i, m))
+        if np.delete(enc, cols, axis=1).any():
+            raise ValueError(f"encoder e{i} uses a message outside the sources feeding it")
+        fed[f"e{i}"] = (enc[:, cols], cols)
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
         dec = code.decoders[terminal]
         expected = tuple(ins)
         if dec.inputs != expected:
-            raise ValueError(
-                f"decoder for {terminal} reads {dec.inputs}, expected {expected}"
-            )
+            raise ValueError(f"decoder for {terminal} reads {dec.inputs}, expected {expected}")
         if dec.matrix.shape != (m, code.alpha * code.n * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
     return fed
@@ -206,23 +208,21 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     code is correct for all q^(m(r+c)) messages.
     """
     fed = _check(net, code)
-    p = code.p
-    m = code.m
-    width = code.alpha * code.n
+    p, m, width = code.p, code.m, code.alpha * code.n
     target = np.tile(np.eye(m, dtype=np.int64), net.r + net.c)
-    directs = {label: _direct_layout(net, code, label) for label in net.sources()}
+    reads, carries = _bundles(net, code)
     failures = []
-    for terminal in net.terminals():
+    for terminal, rows in reads:
         dec = code.decoders[terminal]
         composite = np.zeros_like(target)
         for pos, x in enumerate(dec.inputs):
-            block = dec.matrix[:, pos * width : (pos + 1) * width]
-            if x.startswith("e"):
-                enc, cols = fed[int(x[1:]) - 1]
-                composite[:, cols] += block @ enc
-            else:
-                comps, coords = directs[x]
-                composite[:, coords] += block[:, comps]
+            if x in fed:
+                enc, cols = fed[x]
+                composite[:, cols] += dec.matrix[:, pos * width : (pos + 1) * width] @ enc
+        # The direct coordinates are distinct (see _check), so one gather adds them all.
+        coords = carries[rows]
+        direct = coords >= 0
+        composite[:, coords[direct]] += dec.matrix[:, direct]
         composite %= p  # the unreduced sum stays within _check's int64 limit
         diff = composite != target
         if np.any(diff):
@@ -245,32 +245,28 @@ def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
     Bottleneck values are computed from the feeding rows of the message
     block only, the sources feeding that bottleneck, which asserts
     structurally that edge values depend on nothing else.  Each block's
-    bundle values go into one stacked array, allocated once per call: every
-    block rewrites the bottleneck rows and the slots a direct edge carries,
-    and a direct bundle's other slots stay zero.  Each decoder multiplies
-    only its nonzero columns, by the rows of that array they read, an index
-    computed once per call.
+    bundle values go into one stacked array (``_bundles``), allocated once
+    per call: every block rewrites the bottleneck rows and, in one scatter,
+    the direct slots, and a direct bundle's other slots stay zero.  Each
+    decoder multiplies only its nonzero columns, by the rows of that array
+    they read, an index computed once per call.
     """
-    p, m = code.p, code.m
-    width = code.alpha * code.n
-    bundles = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
-    start = {label: k * width for k, label in enumerate(bundles)}
-    directs = [_direct_layout(net, code, label) for label in net.sources()]
+    p, m, width = code.p, code.m, code.alpha * code.n
+    reads, carries = _bundles(net, code)
     decoders = []
-    for t in net.terminals():
-        dec = code.decoders[t]
-        reads = np.concatenate([start[x] + np.arange(width) for x in dec.inputs])
-        used = np.flatnonzero(dec.matrix.any(axis=0))
-        decoders.append((t, dec.matrix, used, reads[used]))
+    for t, rows in reads:
+        matrix = code.decoders[t].matrix
+        used = np.flatnonzero(matrix.any(axis=0))
+        decoders.append((t, matrix, used, rows[used]))
+    slots = np.flatnonzero(carries >= 0)
     failures = []
-    stacked = np.zeros((len(bundles) * width, _BLOCK), dtype=np.int64)
+    stacked = np.zeros((len(carries), _BLOCK), dtype=np.int64)
     for x in blocks:
         want = x.reshape(net.r + net.c, m, -1).sum(axis=0) % p
         values = stacked[:, : x.shape[1]]
-        for k, (enc, cols) in enumerate(fed):
+        for k, (enc, cols) in enumerate(fed.values()):  # e1..er, in stacked order
             values[k * width : (k + 1) * width] = enc @ x[cols] % p
-        for k, (comps, coords) in enumerate(directs, start=net.r):
-            values[k * width + comps] = x[coords]
+        values[slots] = x[carries[slots]]
         missed = np.empty((x.shape[1], len(decoders)), dtype=bool)
         for pos, (_, matrix, used, rows) in enumerate(decoders):
             got = matrix[:, used] @ values[rows] % p

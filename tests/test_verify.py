@@ -168,6 +168,23 @@ def test_dimension_mismatch_rejected():
         verify_exact(net2, k2_code)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_verifiers_refuse_a_wrong_encoder_count(count):
+    # One encoder too few used to raise IndexError in verify_exact, and one too
+    # many passed unread; k2 has two bottlenecks.
+    code = build_transfer_code(K2_MATRIX, PrimeField(3))
+    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                      (code.encoders * 2)[:count], code.decoders)
+    net = build_sum_network(K2_MATRIX)
+    for check in (
+        lambda: verify_exact(net, bad),
+        lambda: verify_random(net, bad, 5, 1),
+        lambda: exhaustive_oracle(net, bad, 10**6),
+    ):
+        with pytest.raises(ValueError, match=f"code has {count} encoders, network has 2 bottlenecks"):
+            check()
+
+
 def test_nonlocal_encoder_rejected():
     net = build_sum_network(K2_MATRIX)
     code = build_transfer_code(K2_MATRIX, PrimeField(2))
