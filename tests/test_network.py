@@ -1,17 +1,19 @@
 """Sum-network construction, min cuts, and the graph text format."""
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG4A_MATRIX, mat, message_offsets
+from conftest import FIG4A_MATRIX, mat, message_offsets, random_01_matrix
 from sumnet.gf import IntMatrix
 from sumnet.network import (
     SumNetwork,
     build_sum_network,
     export_graph,
+    feeding_columns,
     import_graph,
     min_cut,
     source_offset,
@@ -297,3 +299,14 @@ def test_source_offset_is_the_written_out_layout(r, c, m):
     assert len(want) == r + c
     for label, offset in want.items():
         assert source_offset(r, m, label) == offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), m=st.integers(1, 5))
+def test_feeding_columns_are_the_written_out_coordinates(seed, m):
+    # s_p<i>'s m coordinates, then those of each column incident to row i, in order.
+    a = random_01_matrix(random.Random(seed), 8, 8)
+    offsets = message_offsets(a.rows, a.cols, m)
+    for i in range(1, a.rows + 1):
+        labels = [f"s_p{i}"] + [f"s_B{j}" for j in range(1, a.cols + 1) if a.at(i - 1, j - 1)]
+        assert feeding_columns(a, i, m) == [offsets[s] + k for s in labels for k in range(m)]
