@@ -170,8 +170,8 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_verifiers_refuse_a_wrong_encoder_count(count):
-    # One encoder too few used to raise IndexError in verify_exact, and one too
-    # many passed unread; k2 has two bottlenecks.
+    # k2 has two bottlenecks: a code with one encoder fewer or one more is
+    # refused, not read past its end or verified with an encoder left unread.
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
     bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
                       (code.encoders * 2)[:count], code.decoders)
