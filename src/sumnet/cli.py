@@ -294,6 +294,7 @@ def cmd_code(args) -> int:
         raise CliError(f"code takes a single characteristic, got {args.char!r}")
     (p,) = chars
     field = PrimeField(p)
+    net = build_sum_network(orient_matrix(struct, orientation), args.alpha)
     try:
         code, via = report_mod.generate_code(struct, family, orientation, field)
     except NoApplicableCode as exc:
@@ -302,7 +303,6 @@ def cmd_code(args) -> int:
         return EXIT_NO_CODE
     if args.alpha > 1:
         code = lift_code(code, args.alpha)
-    net = build_sum_network(orient_matrix(struct, orientation), args.alpha)
     result = verify_exact(net, code)
     verdict = "verified" if result.ok else "FAILED"
     print(f"{label} {orientation} char {p}: construction {via}, "

@@ -52,11 +52,9 @@ from .gf import IntMatrix, PrimeField, column_masks, residue_rows
 from .incidence import IncidenceStructure
 from .network import (
     _max_flow,
-    col_source,
     col_terminal,
     feeding_columns,
     require_nonzero_lines,
-    source_offset,
     terminal_inputs,
 )
 
@@ -100,9 +98,10 @@ class Decoder:
 class NetworkCode:
     """An (m, n) linear code over GF(p) for the network of an r x c matrix.
 
-    Encoders map the stacked message vector (row messages then column
-    messages, m symbols each) to the alpha*n symbols of a bottleneck
-    bundle; parallel edge l of a bundle carries rows [l*n, (l+1)*n).  A
+    Encoders map the stacked message vector to the alpha*n symbols of a
+    bottleneck bundle; source k of the network owns coordinates [k*m,
+    (k+1)*m) of that vector, the layout stated in the ``sumnet.network``
+    docstring.  Parallel edge l of a bundle carries rows [l*n, (l+1)*n).  A
     direct-edge bundle carries message slice [l*m/alpha, (l+1)*m/alpha)
     of its source in the leading slots of parallel edge l.
     """
@@ -263,7 +262,7 @@ def _assemble_transfer(
         i, j = row_ids[ri], col_ids[cj]
         length, start, slot = lengths[ri, cj], starts[ri, cj], slots[ri, cj]
         piece = np.eye(length, dtype=np.int64)
-        off = source_offset(r, m, col_source(j)) + start
+        off = (r + j - 1) * m + start
         encoders[i - 1][slot : slot + length, off : off + length] = piece
         dec = decoders[col_terminal(j)]
         base = dec.inputs.index(f"e{i}") * n + slot

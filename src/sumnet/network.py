@@ -5,11 +5,17 @@ acyclic sum-network it prescribes: one unit-capacity bottleneck edge per
 row, a source and a terminal per row and per column, and direct edges
 that hand every terminal exactly the messages it cannot see through its
 bottlenecks.  With ``alpha > 1`` the topology is unchanged and every edge
-carries multiplicity alpha.
+carries multiplicity alpha.  A network is its matrix and alpha; its nodes
+and edges are derived from them on first use.
 
 Node ids: ``s_p<i>``/``t_p<i>`` for row sources/terminals, ``s_B<j>``/
 ``t_B<j>`` for column ones, ``tail_e<i>``/``head_e<i>`` for the relay
 endpoints of bottleneck ``e<i>``.
+
+Message layout, used by every code and verifier: in an m-symbol code,
+source k of ``net.sources()`` (s_p1..s_pr, then s_B1..s_Bc) owns
+coordinates [k*m, (k+1)*m) of the stacked message vector, so row i's
+message starts at (i-1)*m and column j's at (r+j-1)*m.
 """
 
 from __future__ import annotations
@@ -46,19 +52,6 @@ def col_terminal(j: int) -> str:
     return f"t_B{j}"
 
 
-def source_offset(r: int, m: int, label: str) -> int:
-    """Offset of a source's m-symbol message block in the stacked vector.
-
-    Every code and verifier uses one layout: the row messages s_p1..s_pr
-    first, then the column messages s_B1..s_Bc.
-    """
-    if label.startswith("s_p"):
-        return (int(label[3:]) - 1) * m
-    if label.startswith("s_B"):
-        return (r + int(label[3:]) - 1) * m
-    raise ValueError(f"not a source label: {label}")
-
-
 def bottleneck_sources(a: IntMatrix, i: int) -> list[str]:
     """Sources feeding bottleneck e<i>: s_p<i>, then the columns incident to row i."""
     return [row_source(i)] + [col_source(j) for j in range(1, a.cols + 1) if a.at(i - 1, j - 1)]
@@ -66,7 +59,8 @@ def bottleneck_sources(a: IntMatrix, i: int) -> list[str]:
 
 def feeding_columns(a: IntMatrix, i: int, m: int) -> list[int]:
     """Coordinates of the messages feeding bottleneck e<i>, ascending: each source's m in turn."""
-    return [source_offset(a.rows, m, s) + k for s in bottleneck_sources(a, i) for k in range(m)]
+    sources = [i - 1] + [a.rows + j for j in range(a.cols) if a.at(i - 1, j)]
+    return [k * m + x for k in sources for x in range(m)]
 
 
 def terminal_inputs(a: IntMatrix) -> dict[str, list[str]]:
@@ -97,12 +91,10 @@ def terminal_inputs(a: IntMatrix) -> dict[str, list[str]]:
 
 @dataclass(frozen=True)
 class SumNetwork:
-    """The constructed DAG; immutable once built."""
+    """The sum-network of a (0,1)-matrix at multiplicity alpha; immutable."""
 
     matrix: IntMatrix
     alpha: int
-    nodes: tuple[tuple[str, str], ...]  # (node id, role) in canonical order
-    edges: tuple[Edge, ...]
 
     @property
     def r(self) -> int:
@@ -113,21 +105,40 @@ class SumNetwork:
         return self.matrix.cols
 
     def sources(self) -> list[str]:
-        return [n for n, role in self.nodes if role == "source"]
+        return ([row_source(i) for i in range(1, self.r + 1)]
+                + [col_source(j) for j in range(1, self.c + 1)])
 
     def terminals(self) -> list[str]:
-        return [n for n, role in self.nodes if role == "terminal"]
-
-    def role_of(self, node: str) -> str:
-        for n, role in self.nodes:
-            if n == node:
-                return role
-        raise KeyError(node)
+        return ([row_terminal(i) for i in range(1, self.r + 1)]
+                + [col_terminal(j) for j in range(1, self.c + 1)])
 
     @cached_property
     def inputs(self) -> dict[str, list[str]]:
         """Every terminal's inputs in the fixed decoder order (``terminal_inputs``)."""
         return terminal_inputs(self.matrix)
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[str, str], ...]:
+        """(node id, role) in canonical order: sources, relay pairs, terminals."""
+        relays = [(f"{end}_e{i}", "relay")
+                  for i in range(1, self.r + 1) for end in ("tail", "head")]
+        return (*((s, "source") for s in self.sources()), *relays,
+                *((t, "terminal") for t in self.terminals()))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Bottlenecks, then the edges into and out of them, then the direct edges."""
+        a, alpha, rows = self.matrix, self.alpha, range(1, self.r + 1)
+        edges = [Edge(f"tail_e{i}", f"head_e{i}", alpha, i) for i in rows]
+        edges += [Edge(s, f"tail_e{i}", alpha, 0) for i in rows for s in bottleneck_sources(a, i)]
+        for i in rows:
+            edges.append(Edge(f"head_e{i}", row_terminal(i), alpha, 0))
+            edges += [Edge(f"head_e{i}", col_terminal(j), alpha, 0)
+                      for j in range(1, self.c + 1) if a.at(i - 1, j - 1)]
+        # Direct edges: every input of a terminal's decoder that is not a bottleneck.
+        for terminal, labels in self.inputs.items():
+            edges += [Edge(x, terminal, alpha, 0) for x in labels if not x.startswith("e")]
+        return tuple(edges)
 
 
 def require_nonzero_lines(a: IntMatrix) -> None:
@@ -148,47 +159,23 @@ def require_nonzero_lines(a: IntMatrix) -> None:
 
 
 def build_sum_network(a: IntMatrix, alpha: int = 1) -> SumNetwork:
-    """Materialize the sum-network of a (0,1)-matrix with no all-zero line."""
+    """The sum-network of a (0,1)-matrix with no all-zero line."""
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
     if not a.is_zero_one():
         raise ValueError("matrix entries must be 0 or 1")
     require_nonzero_lines(a)
-    r, c = a.rows, a.cols
-
-    nodes: list[tuple[str, str]] = []
-    nodes += [(row_source(i), "source") for i in range(1, r + 1)]
-    nodes += [(col_source(j), "source") for j in range(1, c + 1)]
-    for i in range(1, r + 1):
-        nodes.append((f"tail_e{i}", "relay"))
-        nodes.append((f"head_e{i}", "relay"))
-    nodes += [(row_terminal(i), "terminal") for i in range(1, r + 1)]
-    nodes += [(col_terminal(j), "terminal") for j in range(1, c + 1)]
-
-    edges: list[Edge] = []
-    for i in range(1, r + 1):
-        edges.append(Edge(f"tail_e{i}", f"head_e{i}", alpha, i))
-    for i in range(1, r + 1):
-        edges += [Edge(src, f"tail_e{i}", alpha, 0) for src in bottleneck_sources(a, i)]
-    for i in range(1, r + 1):
-        edges.append(Edge(f"head_e{i}", row_terminal(i), alpha, 0))
-        for j in range(1, c + 1):
-            if a.at(i - 1, j - 1):
-                edges.append(Edge(f"head_e{i}", col_terminal(j), alpha, 0))
-    # Direct edges: every input of a terminal's decoder that is not a bottleneck.
-    for terminal, labels in terminal_inputs(a).items():
-        edges += [Edge(x, terminal, alpha, 0) for x in labels if not x.startswith("e")]
-
-    return SumNetwork(a, alpha, tuple(nodes), tuple(edges))
+    return SumNetwork(a, alpha)
 
 
 def min_cut(net: SumNetwork, source: str, terminal: str) -> int:
     """Value of the minimum edge cut (= max flow), counting multiplicities."""
-    if net.role_of(source) != "source":
+    roles = dict(net.nodes)
+    if roles[source] != "source":
         raise ValueError(f"{source} is not a source")
-    if net.role_of(terminal) != "terminal":
+    if roles[terminal] != "terminal":
         raise ValueError(f"{terminal} is not a terminal")
-    index = {n: k for k, (n, _) in enumerate(net.nodes)}
+    index = {n: k for k, n in enumerate(roles)}
     arcs = [(index[e.tail], index[e.head], e.mult) for e in net.edges]
     flow, _ = _max_flow(len(index), arcs, index[source], index[terminal])
     return flow

@@ -224,13 +224,22 @@ def render_table_jsonl(rows: Sequence[CapacityRow]) -> str:
     return "\n".join(out) + "\n"
 
 
+_MAX_LAM_DIGITS = 4300  # Python 3.11 converts no int of more digits to a string
+
+
 def higher_family_capacity(t: int) -> tuple[int, Fraction]:
     """Capacity of the subset-vs-block networks built on the t-(v, t+1, lam)
     designs with lam = (t+1)!^(2t+1), for characteristics not dividing t.
 
-    The value (t+1)/(lam+t+1) is independent of v; no design is built.
+    The value (t+1)/(lam+t+1) is independent of v; no design is built.  A t
+    whose lam has more than 4,300 digits is refused before lam is computed:
+    log10(lam) = (2t+1) log10((t+1)!) grows with t, 4,245.3 at t = 41 and
+    4,486.4 at t = 42, so t above 100 is refused as t = 100 is.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
+    s = min(t, 100)
+    if (2 * s + 1) * math.lgamma(s + 2) / math.log(10) >= _MAX_LAM_DIGITS:
+        raise ValueError(f"t={t}: lam = (t+1)!^(2t+1) would exceed {_MAX_LAM_DIGITS} digits")
     lam = math.factorial(t + 1) ** (2 * t + 1)
     return lam, Fraction(t + 1, lam + t + 1)

@@ -96,7 +96,7 @@ def random_01_matrix(rng: random.Random, max_r: int, max_c: int) -> IntMatrix:
 def message_offsets(r: int, c: int, m: int) -> dict[str, int]:
     """Where each source's m-symbol message starts in the stacked vector.
 
-    Written out independently of ``network.source_offset``: the row
+    Written out independently of the package's index arithmetic: the row
     messages s_p1..s_pr first, then the column messages s_B1..s_Bc.
     """
     labels = [f"s_p{i}" for i in range(1, r + 1)] + [f"s_B{j}" for j in range(1, c + 1)]
@@ -301,7 +301,7 @@ def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
 # terms; decoder rows list (input position, bundle component, coefficient)
 # terms.  Coefficients are reduced mod p when the arrays are assembled, so
 # one table serves every characteristic.  Message coordinates come from
-# ``message_offsets``, not ``network.source_offset``, so a layout fault
+# ``message_offsets``, not ``network.feeding_columns``, so a layout fault
 # shared by the generators and the verifier shows as a disagreement with
 # these codes.
 

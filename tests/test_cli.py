@@ -1,7 +1,9 @@
 """The command-line surface: spec invocations, exit codes, determinism."""
 
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +194,19 @@ def test_code_refuses_a_zero_row_before_building_a_code(tmp_path, capsys, monkey
     assert "row 2 is all zero" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_code_refuses_a_bad_alpha_before_building_a_code(capsys, monkeypatch, alpha):
+    def build(*args):
+        raise AssertionError("a code was built")
+
+    for name in ("build_transfer_code", "build_scalar_code", "build_graph_transpose_code"):
+        monkeypatch.setattr(codes, name, build)
+    status, out, err = run(capsys, "code", "--sts", "7", "--char", "3", "--alpha", alpha)
+    assert status == 1
+    assert out == ""
+    assert err == "error: alpha must be a positive integer\n"
+
+
 def test_table_sts_dichotomy(capsys):
     status, out, _ = run(capsys, "table", "sts", "--v", "7,9", "--char", "2,3")
     assert status == 0
@@ -224,6 +239,23 @@ def test_table_higher_family_refuses_a_bad_t_before_any_output(capsys):
     assert status == 1
     assert "t must be at least 2" in err
     assert out == ""
+
+
+def test_table_higher_family_prints_t_41_in_full(capsys):
+    status, out, _ = run(capsys, "table", "higher-family", "--t", "41")
+    assert status == 0
+    lam = math.factorial(42) ** 83  # 4,246 digits, the most a printed lam may have
+    assert out.splitlines()[2:] == [f"  t=41: lam={lam}, capacity {Fraction(42, lam + 42)}"]
+
+
+@pytest.mark.parametrize("ts", ["42", "1000", "2,42"])
+def test_table_higher_family_refuses_a_lam_too_long_to_print(capsys, ts):
+    start = time.process_time()
+    status, out, err = run(capsys, "table", "higher-family", "--t", ts)
+    assert time.process_time() - start < 1  # decided from t, before lam is computed
+    assert status == 1
+    assert out == ""
+    assert err == f"error: t={ts.split(',')[-1]}: lam = (t+1)!^(2t+1) would exceed 4300 digits\n"
 
 
 def test_table_higher_reports_the_inapplicable_transpose_family_bound(capsys):

@@ -223,6 +223,18 @@ def test_lifted_code_verifies_and_simulates():
             assert exhaustive_oracle(net, code, limit=5000).ok  # 2^12 tuples
 
 
+def test_verification_never_derives_the_graph():
+    # A network is its matrix and alpha: no verifier, witness reader included,
+    # reads the nodes or edges derived from them.
+    code = build_transfer_code(K2_MATRIX, PrimeField(2))
+    for ok, c in ((True, code), (False, corrupt_encoder(code, 0, 2))):
+        net = build_sum_network(K2_MATRIX)
+        assert verify_exact(net, c).ok is ok
+        assert verify_random(net, c, trials=64, seed=1).ok is ok
+        assert exhaustive_oracle(net, c, limit=64).ok is ok
+        assert "edges" not in vars(net) and "nodes" not in vars(net)
+
+
 def test_verifiers_refuse_characteristics_that_overflow_int64():
     # (p-1)^2 alone exceeds 2^63 here, so any code would wrap around.
     p = 4294967311
