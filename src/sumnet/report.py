@@ -224,7 +224,7 @@ def render_table_jsonl(rows: Sequence[CapacityRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-_MAX_LAM_DIGITS = 4300  # Python 3.11 converts no int of more digits to a string
+_MAX_LAM_DIGITS = 4300  # Python 3.11's default limit on converting an int to a decimal string
 
 
 def higher_family_capacity(t: int) -> tuple[int, Fraction]:
