@@ -18,6 +18,7 @@ from conftest import (
     to_lists,
 )
 from sumnet.bounds import (
+    BoundResult,
     SubsetSearchRefused,
     bound_matrix,
     closure_columns,
@@ -30,6 +31,7 @@ from sumnet.bounds import (
 from sumnet.codes import overlap_residue
 from sumnet.gf import IntMatrix, PrimeField
 from sumnet.incidence import (
+    IncidenceStructure,
     all_subsets_design,
     complete_graph,
     fano,
@@ -232,6 +234,58 @@ def test_family_higher():
         family_bound(FIG4A, "higher-normal", PrimeField(3))
 
 
+@st.composite
+def small_incidence_structures(draw):
+    """Structures on at most 7 points: all k-subsets, random k-subsets, or random blocks."""
+    v = draw(st.integers(1, 7))
+    k = draw(st.integers(1, v))
+    uniform = list(combinations(range(1, v + 1), k))
+    pool = uniform if draw(st.booleans()) else [
+        b for size in range(1, v + 1) for b in combinations(range(1, v + 1), size)
+    ]
+    blocks = draw(st.one_of(st.just(uniform), st.lists(st.sampled_from(pool), min_size=1,
+                                                        max_size=12)))
+    return IncidenceStructure(v, tuple(blocks))
+
+
+def higher_family_reference(struct, kind, p):
+    """The higher-structure closed forms from their definition, on the numpy Gram."""
+    a = np.array(to_lists(struct.matrix))
+    col_sums, row_sums = set(a.sum(axis=0).tolist()), set(a.sum(axis=1).tolist())
+    if len(col_sums) != 1 or len(row_sums) != 1:
+        raise ValueError("not a higher incidence structure: sums not uniform")
+    t, lam = col_sums.pop() - 1, row_sums.pop()
+    if t < 1 or lam < 2:
+        raise ValueError("not a higher incidence structure")
+    # Overlaps are 0 or 1 between distinct columns (rows); a diagonal entry is 1 + t (1 + lam-1).
+    gram, extra = (a.T @ a, t) if kind == "higher-normal" else (a @ a.T, lam - 1)
+    if not np.array_equal(gram, (gram > 0) + extra * np.eye(len(gram), dtype=int)):
+        raise ValueError("overlap pattern does not match a higher incidence structure")
+    v, b = a.shape
+    if extra % p == 0:
+        name = "t" if kind == "higher-normal" else "lam-1"
+        return BoundResult(Fraction(1), p, f"family:{kind}", applicable=False,
+                           note=f"closed form inapplicable: ch divides {name} = {extra}")
+    return BoundResult(Fraction(v if kind == "higher-normal" else b, v + b), p, f"family:{kind}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(struct=st.one_of(small_incidence_structures(), st.sampled_from([
+           fano(), higher_incidence(all_subsets_design(4, 3)), complete_graph(5)])),
+       kind=st.sampled_from(["higher-normal", "higher-transpose"]),
+       char=st.sampled_from([2, 3, 5, 7]))
+def test_higher_family_bounds_match_the_numpy_gram_definition(struct, kind, char):
+    # Either the same result, or the same refusal in the same order.
+    try:
+        want = higher_family_reference(struct, kind, char)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            family_bound(struct, kind, PrimeField(char))
+        assert str(got.value) == str(exc)
+    else:
+        assert family_bound(struct, kind, PrimeField(char)) == want
+
+
 def test_family_kind_validation():
     with pytest.raises(ValueError, match="unknown family kind"):
         family_bound(FIG4A, "nonsense", PrimeField(2))
@@ -279,10 +333,22 @@ def test_closure_columns_matches_the_set_definition(a, data):
     assert closure_columns(a, subset) == want
 
 
+@st.composite
+def sparse_zero_one_matrices(draw, max_rows=9, max_cols=40):
+    """Wide matrices with few ones, so most column pairs share no row."""
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    cells = draw(st.sets(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
+                         max_size=2 * c))
+    return IntMatrix(r, c, tuple([int((i, j) in cells) for i in range(r) for j in range(c)]))
+
+
 @settings(max_examples=100, deadline=None)
-@given(a=zero_one_matrices(max_rows=7, max_cols=8), char=st.sampled_from([2, 3, 5, 7]))
+@given(a=st.one_of(zero_one_matrices(max_rows=7, max_cols=8), sparse_zero_one_matrices()),
+       char=st.sampled_from([2, 3, 5, 7]))
 def test_overlap_facts_match_the_integer_gram(a, char):
     # Reference: the integer Gram A^T A by plain matrix multiplication.
+    # Zero rows and zero columns are drawn too.
     rows = np.array(to_lists(a))
     gram = (rows.T @ rows).tolist()
     supp = [[1 if x > 0 else 0 for x in row] for row in gram]
@@ -295,6 +361,8 @@ def test_overlap_facts_match_the_integer_gram(a, char):
         diff[i][j] == 0 for i in range(a.cols) for j in range(a.cols) if i != j
     )
     assert [row[a.rows:] for row in to_lists(bound_matrix(a))[a.rows:]] == supp
+    # The rank bound's defect is the rank of the whole residue, off-diagonal entries included.
+    assert rank_bound(a, PrimeField(char)).rank_defect == rank_mod_p(mat(diff), PrimeField(char))
 
 
 def _brute_force_terms(a, field, max_size):

@@ -31,6 +31,8 @@ CASES: dict[str, tuple[list[str], int, tuple[str, ...]]] = {
     "table-paper-all": (["table", "paper-all", "--structured"], 0, ()),
     "table-sts": (["table", "sts", "--v", "7,9,13", "--char", "2,3,5", "--structured"], 0, ()),
     "bound-fig3": (["bound", "--graph", "fig3", "--transpose", "--char", "3"], 0, ()),
+    # A simple graph's residue is I: t = b, and the overlap count stays sparse.
+    "bound-k40": (["bound", "--complete", "40", "--char", "3"], 0, ()),
     "bound-star-composite": (
         ["bound", "--graph", "star-composite", "--transpose", "--char", "2,3,5"], 0, ()
     ),
