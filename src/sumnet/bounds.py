@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .gf import IntMatrix, PrimeField, column_masks, residue_rows
+from .gf import IntMatrix, PrimeField, column_masks, gram, residue_rows
 from .incidence import IncidenceStructure, validate_design
 
 FAMILY_KINDS = (
@@ -87,7 +87,7 @@ def bound_matrix(a: IntMatrix) -> IntMatrix:
 def rank_bound(a: IntMatrix, field: PrimeField) -> BoundResult:
     """Upper bound r / rank(bound matrix) = r / (r + rank_p R) over GF(p); at most 1."""
     basis: dict[int, dict[int, int]] = {}
-    defect = sum(_extend(basis, row, field.p) for row in residue_rows(column_masks(a), field.p))
+    defect = sum(_extend(basis, row, field.p) for row in residue_rows(a, field.p))
     return BoundResult(
         bound=Fraction(a.rows, a.rows + defect), char=field.p, via="rank", rank_defect=defect
     )
@@ -159,7 +159,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     r, c, p = a.rows, a.cols, field.p
     supports = column_masks(a)
     row_columns = column_masks(a.transpose())  # bit j of row i: column j meets row i
-    residue = residue_rows(supports, p)
+    residue = residue_rows(a, p)
     limit = min(max_size, r)
     full = (1 << c) - 1
     # (row mask, |S|, rank of the closed residue rows).  {1} closes only columns
@@ -346,25 +346,21 @@ def family_bound(struct: IncidenceStructure, kind: str, field: PrimeField) -> Bo
         return BoundResult(Fraction(b, v + b), p, f"family:{kind}")
 
     # Subset-vs-block structures: row sums lam, column sums t+1, and the
-    # closed forms require the two overlap identities to hold exactly.
-    a = struct.matrix
-    col_masks, row_masks = column_masks(a), column_masks(a.transpose())
-    col_sums = {x.bit_count() for x in col_masks}
-    row_sums = {x.bit_count() for x in row_masks}
+    # closed forms require the two overlap identities to hold exactly.  The
+    # Grams A^T A of the columns and A A^T of the rows hold the sums on their diagonals.
+    col_gram, row_gram = list(gram(struct.matrix)), list(gram(struct.matrix.transpose()))
+    col_sums = {g.get(j, 0) for j, g in enumerate(col_gram)}
+    row_sums = {g.get(i, 0) for i, g in enumerate(row_gram)}
     if len(col_sums) != 1 or len(row_sums) != 1:
         raise ValueError("not a higher incidence structure: sums not uniform")
     t = col_sums.pop() - 1
     lam = row_sums.pop()
     if t < 1 or lam < 2:
         raise ValueError("not a higher incidence structure")
-    # Gram entries are mask overlaps: A^T A of the columns, A A^T of the rows.
-    masks, expected = (col_masks, t) if kind == "higher-normal" else (row_masks, lam - 1)
-    for i, x in enumerate(masks):
-        for j, y in enumerate(masks):
-            overlap = (x & y).bit_count()
-            want = (1 if overlap else 0) + (expected if i == j else 0)
-            if overlap != want:
-                raise ValueError("overlap pattern does not match a higher incidence structure")
+    # Each nonzero Gram entry is 1 off the diagonal and 1 + t (1 + lam - 1) on it.
+    grams, expected = (col_gram, t) if kind == "higher-normal" else (row_gram, lam - 1)
+    if any(n != 1 + (k == j) * expected for j, g in enumerate(grams) for k, n in g.items()):
+        raise ValueError("overlap pattern does not match a higher incidence structure")
     if kind == "higher-normal":
         if t % p == 0:
             return _inapplicable(kind, p, f"ch divides t = {t}")

@@ -48,7 +48,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .bounds import graph_transpose_sets
-from .gf import IntMatrix, PrimeField, column_masks, residue_rows
+from .gf import IntMatrix, PrimeField, residue_rows
 from .incidence import IncidenceStructure
 from .network import (
     _max_flow,
@@ -149,7 +149,7 @@ class OverlapResidue:
 
 
 def overlap_residue(a: IntMatrix, field: PrimeField) -> OverlapResidue:
-    rows = residue_rows(column_masks(a), field.p)
+    rows = residue_rows(a, field.p)
     diag = tuple([row.get(j, 0) for j, row in enumerate(rows)])
     return OverlapResidue(field.p, all(row.keys() <= {j} for j, row in enumerate(rows)), diag)
 

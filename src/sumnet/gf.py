@@ -1,16 +1,19 @@
 """Exact arithmetic: prime fields and small integer matrices.
 
 Nothing here uses floating point.  ``IntMatrix`` holds small integer
-matrices (incidence, bound and transfer matrices) as Python integers;
-``column_masks`` and ``residue_rows`` read a (0,1)-matrix's overlaps.  The package's one GF(p)
-elimination, ``bounds._extend``, serves the rank bound and the subset
-search.
+matrices (incidence, bound and transfer matrices) as Python integers.
+``gram`` is the one count of a (0,1)-matrix's pairwise column overlaps, read
+by ``residue_rows`` and the higher-structure identities; ``column_masks``
+holds the supports.  The package's one GF(p) elimination,
+``bounds._extend``, serves the rank bound and the subset search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, compress
+from typing import Iterable, Iterator, Sequence
 
 
 # Deterministic Miller-Rabin: the first 13 primes are a complete witness set
@@ -154,26 +157,32 @@ class IntMatrix:
 def column_masks(m: IntMatrix) -> list[int]:
     """Row support of each column of a (0,1)-matrix as an int bitmask (bit i-1: row i).
 
-    Every overlap fact is read from these masks: entry (j, k) of the Gram
-    m^T m is ``(mask_j & mask_k).bit_count()``.  Pass m^T for the rows.
+    Pass m^T for the rows.  Overlap counts come from ``gram``.
     """
     if not m.is_zero_one():
         raise ValueError("expected a (0,1)-matrix")
     return [sum(1 << i for i, x in enumerate(m.col(j)) if x) for j in range(m.cols)]
 
 
-def residue_rows(masks: list[int], p: int) -> list[dict[int, int]]:
-    """The overlap residue A^T A - supp(A^T A) mod p, row by row, from column masks.
+def gram(m: IntMatrix) -> Iterator[dict[int, int]]:
+    """The nonzero entries of the Gram m^T m of a (0,1)-matrix, one column at a time.
 
-    Entry (j, k) is max(|mask_j & mask_k| - 1, 0) mod p; each row is a
-    sparse {k: entry} dict of its nonzero entries.
+    Column j is ``{k: |supp j & supp k|}`` over the columns k that share a
+    row with j.  Only those pairs are visited, through each row's list of
+    columns, so the cost is the sum of the squared row sums, not c^2.
+    Pass m^T for the rows.
     """
-    rows = []
-    for s in masks:
-        row = {}
-        for k, t in enumerate(masks):
-            x = max((s & t).bit_count() - 1, 0) % p
-            if x:
-                row[k] = x
-        rows.append(row)
-    return rows
+    if not m.is_zero_one():
+        raise ValueError("expected a (0,1)-matrix")
+    rows = [list(compress(range(m.cols), m.row(i))) for i in range(m.rows)]
+    for j in range(m.cols):
+        yield Counter(chain.from_iterable(compress(rows, m.col(j))))
+
+
+def residue_rows(m: IntMatrix, p: int) -> list[dict[int, int]]:
+    """The overlap residue m^T m - supp(m^T m) mod p, row by row, from ``gram``.
+
+    Entry (j, k) is (n - 1) mod p where the Gram entry n is nonzero; each
+    row is a sparse {k: entry} dict of its nonzero entries.
+    """
+    return [{k: x for k, n in g.items() if (x := (n - 1) % p)} for g in gram(m)]
