@@ -222,6 +222,27 @@ def check_transfer_matrix(
 # the three constructions
 
 
+# The most int64 entries a code's encoders and decoders may hold together:
+# 2 GiB dense.  sts-31 holds 191,615,712; sts-37 (617,662,682) is refused.
+MAX_DENSE_ENTRIES = 1 << 28
+
+
+def _require_dense_fits(
+    m: int, n: int, rows: int, cols: int, inputs: Sequence[int], alpha: int = 1
+) -> None:
+    """Refuse an (m, n) code lifted to alpha whose dense matrices exceed MAX_DENSE_ENTRIES.
+
+    Each of the ``rows`` encoders is (alpha*n) x (alpha*m*(rows+cols)); a
+    terminal with k inputs has an (alpha*m) x (alpha*n*k) decoder.
+    """
+    entries = alpha * alpha * m * n * (rows * (rows + cols) + sum(inputs))
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"the code would hold {entries} dense int64 entries, "
+            f"above the limit of {MAX_DENSE_ENTRIES}"
+        )
+
+
 def _assemble_transfer(
     a: IntMatrix, p: int, row_ids: Sequence[int], col_ids: Sequence[int], d: IntMatrix,
     mu: Sequence[int],
@@ -248,6 +269,8 @@ def _assemble_transfer(
         )
     starts = np.cumsum(lengths, axis=0) - lengths
     slots = m + np.cumsum(lengths, axis=1) - lengths
+    inputs = terminal_inputs(a)
+    _require_dense_fits(m, n, r, c, [len(ins) for ins in inputs.values()])
     # Partial sums: each bottleneck's first m components add the messages of
     # the sources feeding it, and each decoder adds those of its inputs.
     encoders = [np.zeros((n, m * (r + c)), dtype=np.int64) for _ in range(r)]
@@ -256,7 +279,7 @@ def _assemble_transfer(
         enc[np.arange(len(cols)) % m, cols] = 1
     block = np.eye(m, n, dtype=np.int64)
     decoders = {
-        t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in terminal_inputs(a).items()
+        t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in inputs.items()
     }
     for ri, cj in zip(*np.nonzero(lengths)):
         i, j = row_ids[ri], col_ids[cj]
@@ -375,6 +398,8 @@ def lift_code(code: NetworkCode, alpha: int) -> NetworkCode:
         raise ValueError("lift expects a base code built for alpha = 1")
     if alpha == 1:
         return code
+    ins = [len(d.inputs) for d in code.decoders.values()]
+    _require_dense_fits(code.m, code.n, code.rows, code.cols, ins, alpha)
     encoders = tuple(
         _interleave(enc, code.n, code.m, alpha) for enc in code.encoders
     )

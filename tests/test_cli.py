@@ -207,6 +207,42 @@ def test_code_refuses_a_bad_alpha_before_building_a_code(capsys, monkeypatch, al
     assert err == "error: alpha must be a positive integer\n"
 
 
+def _refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("a dense code array was allocated")
+
+
+def test_code_refuses_a_code_too_large_to_hold_dense(capsys, monkeypatch):
+    # sts-43 at char 3: 43 encoders and 344 decoders, 1,684,276,288 int64 entries (12.5 GiB).
+    monkeypatch.setattr(codes.np, "zeros", _refuse_to_allocate)
+    monkeypatch.setattr(codes.np, "tile", _refuse_to_allocate)
+    err = ("error: the code would hold 1684276288 dense int64 entries, "
+           "above the limit of 268435456\n")
+    assert run(capsys, "code", "--sts", "43", "--char", "3") == (1, "", err)
+    assert run(capsys, "table", "sts", "--v", "43", "--char", "3") == (1, "", err)
+
+
+def test_code_refuses_a_lift_too_large_to_hold_dense(capsys, monkeypatch):
+    # The sts-13 base code holds 777,738 entries; its lift to alpha 24 holds 24^2 times as many.
+    monkeypatch.setattr(codes, "_interleave", _refuse_to_allocate)
+    assert run(capsys, "code", "--sts", "13", "--char", "3", "--alpha", "24") == (1, "", (
+        "error: the code would hold 447977088 dense int64 entries, "
+        "above the limit of 268435456\n"
+    ))
+
+
+def test_bound_on_a_large_complete_graph_does_not_hang(capsys):
+    # A simple graph's residue is I: each edge's Gram diagonal is 2 and every other overlap 1,
+    # so t = b.  The Gram visits 200 * 199^2 column pairs, not 19,900^2.
+    start = time.process_time()
+    assert run(capsys, "bound", "--complete", "200", "--char", "3") == (0, (
+        "k200 normal char 3:\n"
+        "  subset: exact mode refused: r=200 exceeds the enumeration limit 20\n"
+        "  rank 2/201 (t=19900)\n"
+        "  family graph-normal 2/201\n"
+    ), "")
+    assert time.process_time() - start < 10
+
+
 def test_table_sts_dichotomy(capsys):
     status, out, _ = run(capsys, "table", "sts", "--v", "7,9", "--char", "2,3")
     assert status == 0
