@@ -21,7 +21,9 @@ decoder matrices over GF(p):
   bottlenecks of B' ferry pieces, and only of the P' messages.
 
 ``lift_code`` spreads a base code over alpha parallel edges per link,
-multiplying the rate by alpha.
+multiplying the rate by alpha.  Both the assembly and the lift refuse a
+code whose dense matrices would exceed ``MAX_DENSE_ENTRIES`` before they
+allocate any of them.
 
 Every matrix entry lies in [0, p), so ``verify_exact`` can reduce each
 terminal's composite once: its unreduced sum stays within (p-1)^2 times
@@ -223,19 +225,19 @@ def check_transfer_matrix(
 
 
 # The most int64 entries a code's encoders and decoders may hold together:
-# 2 GiB dense.  sts-31 holds 191,615,712; sts-37 (617,662,682) is refused.
+# 2 GiB dense.  sts-31 holds 191,615,712 and is built; sts-37 (617,662,682),
+# which died in numpy's allocator under a 4 GB address-space cap, is refused.
 MAX_DENSE_ENTRIES = 1 << 28
 
 
-def _require_dense_fits(
-    m: int, n: int, rows: int, cols: int, inputs: Sequence[int], alpha: int = 1
-) -> None:
-    """Refuse an (m, n) code lifted to alpha whose dense matrices exceed MAX_DENSE_ENTRIES.
+def _require_dense_fits(m: int, n: int, rows: int, cols: int, inputs: Sequence[int]) -> None:
+    """Refuse a code whose dense matrices would hold more than MAX_DENSE_ENTRIES entries.
 
-    Each of the ``rows`` encoders is (alpha*n) x (alpha*m*(rows+cols)); a
-    terminal with k inputs has an (alpha*m) x (alpha*n*k) decoder.
+    Each of the ``rows`` encoders is n x m*(rows+cols), and a terminal with
+    k inputs has an m x n*k decoder; for a code lifted to alpha, m and n
+    are alpha times the base code's.
     """
-    entries = alpha * alpha * m * n * (rows * (rows + cols) + sum(inputs))
+    entries = m * n * (rows * (rows + cols) + sum(inputs))
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
             f"the code would hold {entries} dense int64 entries, "
@@ -399,7 +401,7 @@ def lift_code(code: NetworkCode, alpha: int) -> NetworkCode:
     if alpha == 1:
         return code
     ins = [len(d.inputs) for d in code.decoders.values()]
-    _require_dense_fits(code.m, code.n, code.rows, code.cols, ins, alpha)
+    _require_dense_fits(alpha * code.m, alpha * code.n, code.rows, code.cols, ins)
     encoders = tuple(
         _interleave(enc, code.n, code.m, alpha) for enc in code.encoders
     )
