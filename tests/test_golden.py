@@ -46,6 +46,13 @@ CASES: dict[str, tuple[list[str], int, tuple[str, ...]]] = {
         0,
         ("fig4a.code",),
     ),
+    # The 65-terminal network through the simulator: four blocks of 64 trials.
+    "code-star-composite": (
+        ["code", "--graph", "star-composite", "--transpose", "--char", "5",
+         "--random-trials", "250", "--seed", "1"],
+        0,
+        (),
+    ),
     "code-triangle": (
         ["code", "--triangle", "--normal", "--char", "3", "--out", "triangle.code"],
         0,

@@ -1,6 +1,7 @@
 """The verifier itself: exact, randomized, and exhaustive modes."""
 
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     message_offsets,
     reference_code,
     reference_exhaustive,
+    reference_failures,
     reference_random,
     reference_symbols,
 )
@@ -31,7 +33,13 @@ from sumnet.incidence import from_graph
 from sumnet.instances import get_instance
 from sumnet.network import bottleneck_sources, build_sum_network
 from sumnet.report import generate_code, orient_matrix
-from sumnet.verify import _random_blocks, exhaustive_oracle, verify_exact, verify_random
+from sumnet.verify import (
+    VerifyReport,
+    _random_blocks,
+    exhaustive_oracle,
+    verify_exact,
+    verify_random,
+)
 
 K2_MATRIX = mat([[1], [1]])
 FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -417,10 +425,9 @@ def python_int_failures(net, code):
     return failures
 
 
-@pytest.mark.parametrize("alpha", [1, 2])
-def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
-    # Every entry at p-1 for the largest p the int64 limit accepts: the
-    # composite reaches (p-1)^2 times the decoder width before reduction.
+def all_top_code(alpha):
+    """The k2 network and a code with every admissible entry at p-1, for the
+    largest p the int64 limit accepts."""
     net = build_sum_network(K2_MATRIX, alpha=alpha)
     shapes = lift_code(reference_code("k2-normal", 2), alpha)
     widths = [d.matrix.shape[1] for d in shapes.decoders.values()]
@@ -436,11 +443,48 @@ def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
     decoders = {
         t: Decoder(d.inputs, np.full_like(d.matrix, p - 1)) for t, d in code.decoders.items()
     }
-    full = NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
-                       tuple(encoders), decoders)
+    return net, NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
+                            tuple(encoders), decoders)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
+    # The composite reaches (p-1)^2 times the decoder width before reduction.
+    net, full = all_top_code(alpha)
     report = verify_exact(net, full)
     assert not report.ok
     assert list(report.failures) == python_int_failures(net, full)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_simulated_sums_stay_exact_at_the_int64_limit(alpha):
+    # Each decoded symbol sums up to ``inner`` products below (p-1)^2 before
+    # reduction; the reference decodes with Python integers (object arrays).
+    net, full = all_top_code(alpha)
+    dim = full.m * (net.r + net.c)
+    messages = (
+        np.array(reference_symbols(1 + t, full.p, dim), dtype=object) for t in range(65)
+    )
+    failures = tuple(reference_failures(net, full, messages))
+    assert failures
+    assert verify_random(net, full, 65, 1) == VerifyReport("randomized", False, failures, 65, 1)
+
+
+def test_simulation_memory_is_bounded_by_the_block():
+    # 250 trials on the 65-terminal network: four blocks of 64, each
+    # decoded terminal by terminal, so the traced peak does not grow with
+    # the trial count or the number of terminals.
+    inst = get_instance("star-composite")
+    code, _ = generate_code(inst.build(), inst.family, "transpose", PrimeField(5))
+    net = build_sum_network(orient_matrix(inst.build(), "transpose"))
+    tracemalloc.start()
+    try:
+        report = verify_random(net, code, 250, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 4 * 2**20
 
 
 # Codes for the simulation properties: (instance, orientation, kind), with
