@@ -32,12 +32,18 @@ rest reduced mod p).
 
 Both ``verify_random`` and ``exhaustive_oracle``, which enumerates every
 message tuple outright as the ground truth for ``verify_exact`` on tiny
-instances, simulate blocks of up to 64 trials at once: one message vector
-per column of a (dim x T) matrix, one product per encoder over its feeding
-rows and one scatter of every direct slot, all into the stacked bundle
-values of ``_bundles``, and one product per decoder over its nonzero
-columns.  Peak memory is bounded by the block, not by the trial count, and
-every report lists its failures in (trial, terminal) order.
+instances, simulate blocks of up to 64 trials at once, trials-major: one
+message vector per row of a (T x dim) block.  The codes are almost all
+zero, so every encoder and decoder is read once per call as its list of
+nonzero terms (output row, value read, coefficient), and each bottleneck
+and then each terminal is one gather of the values its terms read, one
+multiplication by their coefficients and one sum per output row.  The
+encoders write the stacked bundle values of ``_bundles``, where one
+scatter adds every direct slot, and the decoders read them.  A term sum
+has at most ``inner`` products, each below (p-1)^2, so ``_check``'s int64
+limit covers it unreduced.  Taking one bottleneck or terminal at a time
+bounds peak memory by the block and the largest term list, not by the
+trial count, and every report lists its failures in (trial, terminal) order.
 """
 
 from __future__ import annotations
@@ -237,42 +243,63 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     )
 
 
+def _terms(matrix: np.ndarray, cols: np.ndarray):
+    """The nonzero terms of ``matrix``, row-major: the rows that have terms,
+    the start of each row's run, the value each term reads (``cols`` maps a
+    matrix column to it) and the coefficients."""
+    rows, k = np.nonzero(matrix)
+    out, heads = np.unique(rows, return_index=True)
+    return out, heads, cols[k], matrix[rows, k]
+
+
+def _apply(terms, values: np.ndarray, p: int) -> np.ndarray:
+    """Each row's term sum over a trials-major block of values, mod p: every
+    sum has at most ``inner`` products below (p-1)^2, within _check's limit."""
+    _, heads, reads, coef = terms
+    products = np.take(values, reads, axis=1)
+    products *= coef
+    return np.add.reduceat(products, heads, axis=1) % p
+
+
 def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
     """Propagate each block of message vectors, one per column, decode at
     every terminal, and collect (terminal, witness) for every terminal that
     misses the sum, in (message, terminal) order.
 
-    Bottleneck values are computed from the feeding rows of the message
-    block only, the sources feeding that bottleneck, which asserts
-    structurally that edge values depend on nothing else.  Each block's
-    bundle values go into one stacked array (``_bundles``), allocated once
-    per call: every block rewrites the bottleneck rows and, in one scatter,
-    the direct slots, and a direct bundle's other slots stay zero.  Each
-    decoder multiplies only its nonzero columns, by the rows of that array
-    they read, an index computed once per call.
+    Every encoder and decoder is taken once per call as its list of nonzero
+    terms, and a block is simulated trials-major (one row per trial), so
+    each bottleneck and then each terminal is one gather of the values its
+    terms read, one multiplication by their coefficients and one sum per
+    row.  An encoder's terms read the message coordinates of its feeding
+    columns only, which asserts structurally that edge values depend on
+    nothing else.  A decoder's terms read the stacked bundle values of
+    ``_bundles``, allocated once per call: every block rewrites the
+    bottleneck rows and, in one scatter, the direct slots, and the slots
+    no term writes stay zero.  Bottlenecks and terminals are taken one at
+    a time, so peak memory is bounded by the block and the largest term list.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
     reads, carries = _bundles(net, code)
-    decoders = []
-    for t, rows in reads:
-        matrix = code.decoders[t].matrix
-        used = np.flatnonzero(matrix.any(axis=0))
-        decoders.append((t, matrix, used, rows[used]))
+    encoders = [_terms(enc, cols) for enc, cols in fed.values()]  # e1..er, in stacked order
+    decoders = [(t, _terms(code.decoders[t].matrix, rows)) for t, rows in reads]
     slots = np.flatnonzero(carries >= 0)
     failures = []
-    stacked = np.zeros((len(carries), _BLOCK), dtype=np.int64)
+    stacked = np.zeros((_BLOCK, len(carries)), dtype=np.int64)
     for x in blocks:
-        want = x.reshape(net.r + net.c, m, -1).sum(axis=0) % p
-        values = stacked[:, : x.shape[1]]
-        for k, (enc, cols) in enumerate(fed.values()):  # e1..er, in stacked order
-            values[k * width : (k + 1) * width] = enc @ x[cols] % p
-        values[slots] = x[carries[slots]]
-        missed = np.empty((x.shape[1], len(decoders)), dtype=bool)
-        for pos, (_, matrix, used, rows) in enumerate(decoders):
-            got = matrix[:, used] @ values[rows] % p
-            missed[:, pos] = (got != want).any(axis=0)
+        x = np.ascontiguousarray(x.T)
+        trials = len(x)
+        want = x.reshape(trials, net.r + net.c, m).sum(axis=1) % p
+        values = stacked[:trials]
+        for k, terms in enumerate(encoders):
+            values[:, k * width + terms[0]] = _apply(terms, x, p)
+        values[:, slots] = x[:, carries[slots]]
+        missed = np.empty((trials, len(decoders)), dtype=bool)
+        for pos, (_, terms) in enumerate(decoders):
+            got = np.zeros_like(want)
+            got[:, terms[0]] = _apply(terms, values, p)
+            missed[:, pos] = (got != want).any(axis=1)
         for trial, pos in zip(*np.nonzero(missed)):
-            failures.append((decoders[pos][0], _assignment(net, m, x[:, trial])))
+            failures.append((decoders[pos][0], _assignment(net, m, x[trial])))
     return failures
 
 
@@ -306,9 +333,14 @@ def exhaustive_oracle(net: SumNetwork, code: NetworkCode, limit: int) -> VerifyR
     fed = _check(net, code)
     p = code.p
     dim = code.m * (net.r + net.c)
-    total = p**dim
-    if total > limit:
-        raise ValueError(f"{p}^{dim} = {total} message tuples exceed the limit {limit}")
+    total = 1
+    for _ in range(dim):  # stops at the first power past limit
+        total *= p
+        if total > limit:
+            # The count is named while it has fewer digits than Python's
+            # default limit of 4300 for printing an integer.
+            count = f"{p}^{dim} = {p**dim}" if dim * math.log10(p) < 4299 else f"{p}^{dim}"
+            raise ValueError(f"{count} message tuples exceed the limit {limit}")
     failures = _failures(net, code, fed, _exhaustive_blocks(p, dim))
     return VerifyReport(
         mode="exhaustive",

@@ -29,7 +29,7 @@ from sumnet.codes import (
     lift_code,
 )
 from sumnet.gf import PrimeField, is_prime
-from sumnet.incidence import from_graph
+from sumnet.incidence import from_graph, steiner_triple
 from sumnet.instances import get_instance
 from sumnet.network import bottleneck_sources, build_sum_network
 from sumnet.report import generate_code, orient_matrix
@@ -114,6 +114,19 @@ def test_exhaustive_size_refusal():
     code = reference_code("k2-normal", 2)
     with pytest.raises(ValueError, match="exceed the limit"):
         exhaustive_oracle(net, code, limit=63)
+
+
+def test_exhaustive_refusal_names_the_count_only_while_it_prints():
+    net = build_sum_network(K2_MATRIX)
+    with pytest.raises(ValueError, match=r"^2\^6 = 64 message tuples exceed the limit 63$"):
+        exhaustive_oracle(net, reference_code("k2-normal", 2), limit=63)
+    # 1000003^750 has 4501 digits, past Python's 4300-digit printing limit.
+    sts15 = steiner_triple(15)
+    code, _ = generate_code(sts15, "bibd", "normal", PrimeField(1000003))
+    net = build_sum_network(orient_matrix(sts15, "normal"))
+    message = r"^1000003\^750 message tuples exceed the limit 1000000$"
+    with pytest.raises(ValueError, match=message):
+        exhaustive_oracle(net, code, limit=10**6)
 
 
 def test_exact_agrees_with_exhaustive():
