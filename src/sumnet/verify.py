@@ -252,13 +252,13 @@ def _terms(matrix: np.ndarray, cols: np.ndarray):
     return out, heads, cols[k], matrix[rows, k]
 
 
-def _apply(terms, values: np.ndarray, p: int) -> np.ndarray:
-    """Each row's term sum over a trials-major block of values, mod p: every
-    sum has at most ``inner`` products below (p-1)^2, within _check's limit."""
-    _, heads, reads, coef = terms
+def _apply(terms, values: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write each row's term sum over a trials-major block of values, mod p,
+    to that row of ``out``; rows without terms are left as they are."""
+    rows, heads, reads, coef = terms
     products = np.take(values, reads, axis=1)
     products *= coef
-    return np.add.reduceat(products, heads, axis=1) % p
+    out[:, rows] = np.add.reduceat(products, heads, axis=1) % p
 
 
 def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
@@ -266,17 +266,14 @@ def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
     every terminal, and collect (terminal, witness) for every terminal that
     misses the sum, in (message, terminal) order.
 
-    Every encoder and decoder is taken once per call as its list of nonzero
-    terms, and a block is simulated trials-major (one row per trial), so
-    each bottleneck and then each terminal is one gather of the values its
-    terms read, one multiplication by their coefficients and one sum per
-    row.  An encoder's terms read the message coordinates of its feeding
-    columns only, which asserts structurally that edge values depend on
-    nothing else.  A decoder's terms read the stacked bundle values of
+    A block is simulated trials-major, one bottleneck and then one terminal
+    at a time, each by its list of nonzero terms, taken once per call.  An
+    encoder's terms read only its feeding columns, the coordinates of the
+    sources feeding it, which asserts structurally that edge values depend
+    on nothing else.  A decoder's terms read the stacked bundle values of
     ``_bundles``, allocated once per call: every block rewrites the
-    bottleneck rows and, in one scatter, the direct slots, and the slots
-    no term writes stay zero.  Bottlenecks and terminals are taken one at
-    a time, so peak memory is bounded by the block and the largest term list.
+    bottleneck rows and, in one scatter, the direct slots, and the slots no
+    term writes stay zero.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
     reads, carries = _bundles(net, code)
@@ -291,12 +288,12 @@ def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
         want = x.reshape(trials, net.r + net.c, m).sum(axis=1) % p
         values = stacked[:trials]
         for k, terms in enumerate(encoders):
-            values[:, k * width + terms[0]] = _apply(terms, x, p)
+            _apply(terms, x, p, values[:, k * width : (k + 1) * width])
         values[:, slots] = x[:, carries[slots]]
         missed = np.empty((trials, len(decoders)), dtype=bool)
         for pos, (_, terms) in enumerate(decoders):
             got = np.zeros_like(want)
-            got[:, terms[0]] = _apply(terms, values, p)
+            _apply(terms, values, p, got)
             missed[:, pos] = (got != want).any(axis=1)
         for trial, pos in zip(*np.nonzero(missed)):
             failures.append((decoders[pos][0], _assignment(net, m, x[trial])))
