@@ -342,6 +342,25 @@ def test_verifiers_refuse_entries_outside_the_field(target, entry):
             check()
 
 
+def test_range_is_refused_before_locality():
+    # e1 reads s_p2's message, which does not feed it, with an entry outside
+    # the field: the range refusal comes first, though the entry is off the
+    # feeding columns.
+    code = build_transfer_code(K2_MATRIX, PrimeField(3))
+    encoders = [e.copy() for e in code.encoders]
+    encoders[0][0, 2] = 4
+    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                      tuple(encoders), code.decoders)
+    net = build_sum_network(K2_MATRIX)
+    for check in (
+        lambda: verify_exact(net, bad),
+        lambda: verify_random(net, bad, 5, 1),
+        lambda: exhaustive_oracle(net, bad, 10**6),
+    ):
+        with pytest.raises(ValueError, match=r"encoder e1 has an entry outside \[0, 3\)"):
+            check()
+
+
 def test_verify_random_rejects_negative_trials():
     net = build_sum_network(K2_MATRIX)
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
@@ -498,6 +517,23 @@ def test_simulation_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert report.ok
     assert peak < 4 * 2**20
+
+
+def test_exact_memory_is_bounded_by_one_terminal():
+    # The sts-19 code's encoders alone hold 15.9 MiB; verify_exact composes
+    # one terminal at a time, so neither a dense bundle map nor the whole
+    # code's products are ever held at once.
+    sts19 = steiner_triple(19)
+    code, _ = generate_code(sts19, "bibd", "normal", PrimeField(3))
+    net = build_sum_network(orient_matrix(sts19, "normal"))
+    tracemalloc.start()
+    try:
+        report = verify_exact(net, code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8 * 2**20
 
 
 # Codes for the simulation properties: (instance, orientation, kind), with
