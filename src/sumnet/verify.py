@@ -1,25 +1,26 @@
 """Machine verification that a code computes the sum at every terminal.
 
-``verify_exact`` is complete for the linear codes built here: it composes
-each terminal's decoder with the global maps of its input bundles and
-compares the result with the all-ones block map [I_m | I_m | ... | I_m].
-A bottleneck block is multiplied by that bottleneck's encoder restricted to
-its feeding columns, the message coordinates of the sources feeding it;
-``_check`` has proven every other column zero, so only those
-columns of the composite receive the product.  A direct edge carries its
-source's message uncoded, so a terminal's direct inputs are added in one
-gather through ``_bundles``, the layout of the stacked bundle values that
-the simulator shares.  The composite is reduced mod p once per terminal,
-after every input is added: with entries below p the unreduced sum stays
-within (p-1)^2 times the decoder's width, which ``_check`` keeps below
-2^63.  Restricting a product to its feeding columns drops only zero terms,
-so no inner dimension grows and that argument is unchanged.  The composite
-is still the full map, and equality of those matrices is equivalent to
-correct decoding of every message tuple, so a passing report is a proof,
-not a sample.
+All three verifiers admit a code through one gate, ``_check``, which
+refuses it with a ``ValueError`` naming the first fault found.  It is also
+the only place that reads a code's matrices: it reads each once, as its
+list of nonzero terms, and every verifier works on those lists.  The codes
+are almost all zero, so a list is short.  The stacked bundle map lists,
+for every row of the bottlenecks e1..er and then of one direct bundle per
+source, each alpha*n rows, the message coordinates it reads and their
+coefficients.  An encoder contributes its nonzero entries, and a direct
+edge, which carries its source's message uncoded, one term of coefficient
+1 per slot it uses.  So a direct edge is one more bundle whose map is a
+selection.  Each decoder lists the stacked rows it reads.
 
-All three verifiers admit a code through one gate, ``_check``, which refuses
-it with a ``ValueError`` naming the first fault found.
+``verify_exact`` is complete for the linear codes built here.  For each
+terminal it joins every decoder term with each term of the stacked row it
+reads, adds the products into the dense composite map and compares it with
+the all-ones block map [I_m | I_m | ... | I_m].  The sums are exact in
+int64 and reduced mod p once per terminal: an entry sums at most one
+product per decoder term of its row, each at most (p-1)^2, and ``_check``
+keeps (p-1)^2 times the decoder's width below 2^63.  Equality of those
+matrices is equivalent to correct decoding of every message tuple, so a
+passing report is a proof, not a sample.
 
 ``verify_random`` re-checks by simulating topological edge propagation on
 pseudorandom messages; it exists as an independent cross-check and demo.
@@ -33,14 +34,11 @@ rest reduced mod p).
 Both ``verify_random`` and ``exhaustive_oracle``, which enumerates every
 message tuple outright as the ground truth for ``verify_exact`` on tiny
 instances, simulate blocks of up to 64 trials at once, trials-major: one
-message vector per row of a (T x dim) block.  The codes are almost all
-zero, so every encoder and decoder is read once per call as its list of
-nonzero terms (output row, value read, coefficient), and each bottleneck
-and then each terminal is one gather of the values its terms read, one
-multiplication by their coefficients and one sum per output row.  The
-encoders write the stacked bundle values of ``_bundles``, where one
-scatter adds every direct slot, and the decoders read them.  A term sum
-has at most ``inner`` products, each below (p-1)^2, so ``_check``'s int64
+message vector per row of a (T x dim) block.  They apply the same stacked
+bundle map, one bottleneck's rows at a time and then the direct rows, and
+then each decoder: each is one gather of the values its terms read, one
+multiplication by their coefficients and one sum per row.  A term sum has
+at most ``inner`` products, each below (p-1)^2, so ``_check``'s int64
 limit covers it unreduced.  Taking one bottleneck or terminal at a time
 bounds peak memory by the block and the largest term list, not by the
 trial count, and every report lists its failures in (trial, terminal) order.
@@ -124,34 +122,28 @@ class VerifyReport:
     seed: Optional[int] = None
 
 
-def _bundles(net: SumNetwork, code: NetworkCode):
-    """The layout of the stacked bundle values: bottlenecks e1..er, then one
-    direct bundle per source in message order, each alpha*n rows.
-
-    Returns (terminal, stacked rows its decoder reads) pairs, each built as it
-    is reached, and for every stacked row the message coordinate a direct edge
-    carries there, -1 elsewhere: parallel edge l carries message slice
-    [l*m/alpha, (l+1)*m/alpha) in its leading slots.
-    """
-    width, piece = code.alpha * code.n, code.m // code.alpha
-    labels = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
-    start = {label: k * width for k, label in enumerate(labels)}
-    reads = ((t, np.add.outer([start[x] for x in code.decoders[t].inputs], range(width)).ravel())
-             for t in net.terminals())
-    carries = np.full((len(labels), code.alpha, code.n), -1, dtype=np.intp)
-    direct = np.arange(code.m * (net.r + net.c)).reshape(-1, code.alpha, piece)
-    carries[net.r :, :, :piece] = direct
-    return reads, carries.ravel()
+def _entries(mat: np.ndarray):
+    """The row, column and value of each nonzero entry, row-major.  A flat
+    scan of a boolean mask is several times faster than a 2-D np.nonzero."""
+    flat = np.flatnonzero(mat != 0)
+    return *np.divmod(flat, mat.shape[1]), np.take(mat, flat)
 
 
-def _check(net: SumNetwork, code: NetworkCode) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _check(net: SumNetwork, code: NetworkCode):
     """Admit a code to the verifiers, or raise naming the first fault.
 
     In order: shapes, encoder count and alpha, the int64 limit, primality,
     the entry range, encoder locality, then each decoder's inputs and shape.
-    Returns (encoder restricted to its feeding columns, those columns) per
-    bottleneck label e<i>: the feeding columns are the coordinates of the
-    sources feeding it, and every other column is checked here to be zero.
+    This is the only reader of a code's matrices.  It returns them as term
+    lists, each held row-major as arrays of (row, value read, coefficient):
+    the stacked bundle map, whose terms read message coordinates, and
+    (terminal, decoder) pairs in terminal order, whose terms read stacked
+    rows.  The stacked rows are bottlenecks e1..er, then one direct bundle
+    per source in message order, each alpha*n rows.  An encoder's terms are
+    its nonzero entries, every one in its feeding columns, the coordinates
+    of the sources feeding it.  A direct slot has one term of coefficient 1:
+    parallel edge l carries message slice [l*m/alpha, (l+1)*m/alpha) in its
+    leading slots.
     """
     if (net.r, net.c) != (code.rows, code.cols):
         shapes = f"{code.rows}x{code.cols} matrix, network has {net.r}x{net.c}"
@@ -162,18 +154,18 @@ def _check(net: SumNetwork, code: NetworkCode) -> dict[str, tuple[np.ndarray, np
         raise ValueError(f"code alpha {code.alpha} != network alpha {net.alpha}")
     if code.m % code.alpha:
         raise ValueError("m must be divisible by alpha")
-    m = code.m
-    width = m * (net.r + net.c)
+    m, width = code.m, code.alpha * code.n
+    dim = m * (net.r + net.c)
     for i, enc in enumerate(code.encoders, start=1):
-        if enc.shape != (code.alpha * code.n, width):
+        if enc.shape != (width, dim):
             raise ValueError(f"encoder e{i} has shape {enc.shape}")
-    # verify_exact sums a terminal's inputs unreduced.  With entries below p, a
-    # bottleneck input adds at most W(p-1)^2 to an entry of the composite, W the
-    # bundle width alpha*n, and the direct inputs at most p-1, as a terminal's
-    # direct sources are distinct and feed none of its bottlenecks.  So the
-    # composite stays within (p-1)^2 times the decoder's width, and that width
-    # and every product's inner dimension are at most ``inner``.
-    inner = max([width] + [dec.matrix.shape[1] for dec in code.decoders.values()])
+    # The verifiers sum products unreduced, each at most (p-1)^2 with entries
+    # below p.  A stacked row's term sum has at most dim products, one per
+    # coordinate, and a decoded symbol's at most the decoder's width.  An
+    # entry of verify_exact's composite sums one product per decoder term of
+    # its row whose stacked row reads its coordinate: at most the decoder's
+    # width again, as a stacked row reads each coordinate once.
+    inner = max([dim] + [dec.matrix.shape[1] for dec in code.decoders.values()])
     if (code.p - 1) ** 2 * inner >= 1 << 63:
         limit = math.isqrt(((1 << 63) - 1) // inner) + 1
         raise ValueError(
@@ -183,18 +175,29 @@ def _check(net: SumNetwork, code: NetworkCode) -> dict[str, tuple[np.ndarray, np
     # Over Z/p with p not prime (p = 1 makes every map zero) a passing check proves nothing.
     if not is_prime(code.p):
         raise ValueError(f"characteristic p={code.p} is not a prime: codes are checked over GF(p)")
-    # The int64 limit above holds only for entries reduced mod p.
-    matrices = [(f"encoder e{i}", enc) for i, enc in enumerate(code.encoders, start=1)]
-    matrices += [(f"decoder for {t}", dec.matrix) for t, dec in code.decoders.items()]
-    for name, mat in matrices:
-        if mat.size and (mat.min() < 0 or mat.max() >= code.p):
-            raise ValueError(f"{name} has an entry outside [0, {code.p})")
-    fed = {}
+    parts, strays = [], {}  # each bundle's terms: (stacked row, coordinate read, coefficient)
     for i, enc in enumerate(code.encoders, start=1):
         cols = np.array(feeding_columns(net.matrix, i, m))
-        if np.delete(enc, cols, axis=1).any():
-            raise ValueError(f"encoder e{i} uses a message outside the sources feeding it")
-        fed[f"e{i}"] = (enc[:, cols], cols)
+        row, k, coef = _entries(enc[:, cols])
+        parts.append((row + (i - 1) * width, cols[k], coef))
+        if np.count_nonzero(enc) > len(row):
+            strays[i] = enc  # a nonzero entry outside the feeding columns
+    terms = {t: _entries(dec.matrix) for t, dec in code.decoders.items()}
+    # The int64 limit above holds only for entries reduced mod p.  Every
+    # nonzero entry is a term, or off the feeding columns of a stray encoder.
+    named = [(f"encoder e{i}", strays.get(i, part[2])) for i, part in enumerate(parts, start=1)]
+    named += [(f"decoder for {t}", coef) for t, (_, _, coef) in terms.items()]
+    for name, values in named:
+        if values.size and (values.min() < 0 or values.max() >= code.p):
+            raise ValueError(f"{name} has an entry outside [0, {code.p})")
+    if strays:
+        raise ValueError(f"encoder e{min(strays)} uses a message outside the sources feeding it")
+    slots = np.arange((net.r + net.c) * width).reshape(-1, code.alpha, code.n) + net.r * width
+    direct = slots[:, :, : m // code.alpha].ravel()  # carry coordinates 0, 1, ..., dim - 1
+    parts.append((direct, np.arange(dim), np.ones(dim, dtype=np.int64)))
+    labels = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
+    start = {label: k * width for k, label in enumerate(labels)}
+    decoders = []
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
@@ -202,9 +205,12 @@ def _check(net: SumNetwork, code: NetworkCode) -> dict[str, tuple[np.ndarray, np
         expected = tuple(ins)
         if dec.inputs != expected:
             raise ValueError(f"decoder for {terminal} reads {dec.inputs}, expected {expected}")
-        if dec.matrix.shape != (m, code.alpha * code.n * len(expected)):
+        if dec.matrix.shape != (m, width * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
-    return fed
+        row, k, coef = terms[terminal]
+        read = np.array([start[x] for x in ins], dtype=np.intp)[k // width] + k % width
+        decoders.append((terminal, (row, read, coef)))
+    return tuple(map(np.concatenate, zip(*parts))), decoders
 
 
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
@@ -213,43 +219,37 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     ok means every terminal's composite map equals the sum map, i.e. the
     code is correct for all q^(m(r+c)) messages.
     """
-    fed = _check(net, code)
-    p, m, width = code.p, code.m, code.alpha * code.n
+    (rows, coords, coefs), decoders = _check(net, code)
+    p, m, dim = code.p, code.m, code.m * (net.r + net.c)
     target = np.tile(np.eye(m, dtype=np.int64), net.r + net.c)
-    reads, carries = _bundles(net, code)
     failures = []
-    for terminal, rows in reads:
-        dec = code.decoders[terminal]
+    for terminal, (out, reads, coef) in decoders:
+        # Join every decoder term with each term of the stacked row it reads:
+        # that row's terms are rows[first:first + count], as rows is sorted.
+        first = np.searchsorted(rows, reads)
+        counts = np.searchsorted(rows, reads, side="right") - first
+        join = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        products = np.repeat(coef, counts) * coefs[join]
         composite = np.zeros_like(target)
-        for pos, x in enumerate(dec.inputs):
-            if x in fed:
-                enc, cols = fed[x]
-                composite[:, cols] += dec.matrix[:, pos * width : (pos + 1) * width] @ enc
-        # The direct coordinates are distinct (see _check), so one gather adds them all.
-        coords = carries[rows]
-        direct = coords >= 0
-        composite[:, coords[direct]] += dec.matrix[:, direct]
-        composite %= p  # the unreduced sum stays within _check's int64 limit
-        diff = composite != target
+        np.add.at(composite, (np.repeat(out, counts), coords[join]), products)
+        diff = composite % p != target  # the sums stay within _check's int64 limit
         if np.any(diff):
-            unit = np.zeros(target.shape[1], dtype=np.int64)
+            unit = np.zeros(dim, dtype=np.int64)
             unit[np.flatnonzero(diff.any(axis=0))[0]] = 1
             failures.append((terminal, _assignment(net, m, unit)))
     return VerifyReport(
         mode="exact-basis",
         ok=not failures,
         failures=tuple(failures),
-        trials_or_dim=m * (net.r + net.c),
+        trials_or_dim=dim,
     )
 
 
-def _terms(matrix: np.ndarray, cols: np.ndarray):
-    """The nonzero terms of ``matrix``, row-major: the rows that have terms,
-    the start of each row's run, the value each term reads (``cols`` maps a
-    matrix column to it) and the coefficients."""
-    rows, k = np.nonzero(matrix)
+def _runs(rows: np.ndarray, reads: np.ndarray, coef: np.ndarray):
+    """A row-major term list as ``_apply`` reads it: the rows that have
+    terms, the start of each one's run, the values read and coefficients."""
     out, heads = np.unique(rows, return_index=True)
-    return out, heads, cols[k], matrix[rows, k]
+    return out, heads, reads, coef
 
 
 def _apply(terms, values: np.ndarray, p: int, out: np.ndarray) -> None:
@@ -261,39 +261,33 @@ def _apply(terms, values: np.ndarray, p: int, out: np.ndarray) -> None:
     out[:, rows] = np.add.reduceat(products, heads, axis=1) % p
 
 
-def _failures(net: SumNetwork, code: NetworkCode, fed, blocks) -> list:
+def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
     """Propagate each block of message vectors, one per column, decode at
     every terminal, and collect (terminal, witness) for every terminal that
     misses the sum, in (message, terminal) order.
 
-    A block is simulated trials-major, one bottleneck and then one terminal
-    at a time, each by its list of nonzero terms, taken once per call.  An
-    encoder's terms read only its feeding columns, the coordinates of the
-    sources feeding it, which asserts structurally that edge values depend
-    on nothing else.  A decoder's terms read the stacked bundle values of
-    ``_bundles``, allocated once per call: every block rewrites the
-    bottleneck rows and, in one scatter, the direct slots, and the slots no
-    term writes stay zero.
+    A block is simulated trials-major through ``_check``'s term lists: the
+    stacked bundle map one bottleneck's rows at a time and then the direct
+    rows, into stacked values allocated once per call, where the rows
+    without terms stay zero, and then one decoder at a time.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
-    reads, carries = _bundles(net, code)
-    encoders = [_terms(enc, cols) for enc, cols in fed.values()]  # e1..er, in stacked order
-    decoders = [(t, _terms(code.decoders[t].matrix, rows)) for t, rows in reads]
-    slots = np.flatnonzero(carries >= 0)
+    (rows, coords, coefs), decoders = terms
+    cuts = list(np.searchsorted(rows, np.arange(net.r + 1) * width)) + [len(rows)]
+    bundles = [_runs(rows[a:b], coords[a:b], coefs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    decoders = [(t, _runs(*dec)) for t, dec in decoders]
     failures = []
-    stacked = np.zeros((_BLOCK, len(carries)), dtype=np.int64)
+    values = np.zeros((_BLOCK, (2 * net.r + net.c) * width), dtype=np.int64)
     for x in blocks:
         x = np.ascontiguousarray(x.T)
         trials = len(x)
         want = x.reshape(trials, net.r + net.c, m).sum(axis=1) % p
-        values = stacked[:trials]
-        for k, terms in enumerate(encoders):
-            _apply(terms, x, p, values[:, k * width : (k + 1) * width])
-        values[:, slots] = x[:, carries[slots]]
+        for bundle in bundles:
+            _apply(bundle, x, p, values[:trials])
         missed = np.empty((trials, len(decoders)), dtype=bool)
-        for pos, (_, terms) in enumerate(decoders):
+        for pos, (_, dec) in enumerate(decoders):
             got = np.zeros_like(want)
-            _apply(terms, values, p, got)
+            _apply(dec, values[:trials], p, got)
             missed[:, pos] = (got != want).any(axis=1)
         for trial, pos in zip(*np.nonzero(missed)):
             failures.append((decoders[pos][0], _assignment(net, m, x[trial])))
@@ -313,9 +307,9 @@ def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) ->
     """Simulate the code on seeded pseudorandom messages (reproducible)."""
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    fed = _check(net, code)
+    terms = _check(net, code)
     dim = code.m * (net.r + net.c)
-    failures = _failures(net, code, fed, _random_blocks(seed, code.p, trials, dim))
+    failures = _failures(net, code, terms, _random_blocks(seed, code.p, trials, dim))
     return VerifyReport(
         mode="randomized",
         ok=not failures,
@@ -327,7 +321,7 @@ def verify_random(net: SumNetwork, code: NetworkCode, trials: int, seed: int) ->
 
 def exhaustive_oracle(net: SumNetwork, code: NetworkCode, limit: int) -> VerifyReport:
     """Check every message tuple outright; refuses when q^dim exceeds limit."""
-    fed = _check(net, code)
+    terms = _check(net, code)
     p = code.p
     dim = code.m * (net.r + net.c)
     total = 1
@@ -338,7 +332,7 @@ def exhaustive_oracle(net: SumNetwork, code: NetworkCode, limit: int) -> VerifyR
             # default limit of 4300 for printing an integer.
             count = f"{p}^{dim} = {p**dim}" if dim * math.log10(p) < 4299 else f"{p}^{dim}"
             raise ValueError(f"{count} message tuples exceed the limit {limit}")
-    failures = _failures(net, code, fed, _exhaustive_blocks(p, dim))
+    failures = _failures(net, code, terms, _exhaustive_blocks(p, dim))
     return VerifyReport(
         mode="exhaustive",
         ok=not failures,
