@@ -218,6 +218,25 @@ def test_nonlocal_encoder_rejected():
         verify_exact(net, bad)
 
 
+@pytest.mark.parametrize("corrupted", [(3,), (5,), (3, 5)])
+def test_nonlocal_encoders_are_named_on_sts7(corrupted):
+    # An in-range entry off the feeding columns of e3, e5 or both is refused
+    # by both verifiers, naming the lowest such encoder.
+    sts7 = steiner_triple(7)
+    code, _ = generate_code(sts7, "bibd", "normal", PrimeField(3))
+    net = build_sum_network(orient_matrix(sts7, "normal"))
+    encoders = [e.copy() for e in code.encoders]
+    for i in corrupted:
+        off = sorted(set(range(encoders[i - 1].shape[1])) - set(fed_columns(net, code, i)))
+        encoders[i - 1][i, off[i]] = 2
+    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                      tuple(encoders), code.decoders)
+    want = f"^encoder e{corrupted[0]} uses a message outside the sources feeding it$"
+    for check in (lambda: verify_exact(net, bad), lambda: verify_random(net, bad, 5, 1)):
+        with pytest.raises(ValueError, match=want):
+            check()
+
+
 def test_decoder_with_wrong_inputs_rejected():
     from sumnet.codes import Decoder
 
@@ -344,21 +363,22 @@ def test_verifiers_refuse_entries_outside_the_field(target, entry):
 
 def test_range_is_refused_before_locality():
     # e1 reads s_p2's message, which does not feed it, with an entry outside
-    # the field: the range refusal comes first, though the entry is off the
-    # feeding columns.
+    # the field, above it or below zero: the range refusal comes first,
+    # though the entry is off the feeding columns.
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
-    encoders = [e.copy() for e in code.encoders]
-    encoders[0][0, 2] = 4
-    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
-                      tuple(encoders), code.decoders)
     net = build_sum_network(K2_MATRIX)
-    for check in (
-        lambda: verify_exact(net, bad),
-        lambda: verify_random(net, bad, 5, 1),
-        lambda: exhaustive_oracle(net, bad, 10**6),
-    ):
-        with pytest.raises(ValueError, match=r"encoder e1 has an entry outside \[0, 3\)"):
-            check()
+    for entry in (4, -1):
+        encoders = [e.copy() for e in code.encoders]
+        encoders[0][0, 2] = entry
+        bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                          tuple(encoders), code.decoders)
+        for check in (
+            lambda: verify_exact(net, bad),
+            lambda: verify_random(net, bad, 5, 1),
+            lambda: exhaustive_oracle(net, bad, 10**6),
+        ):
+            with pytest.raises(ValueError, match=r"^encoder e1 has an entry outside \[0, 3\)$"):
+                check()
 
 
 def test_verify_random_rejects_negative_trials():
