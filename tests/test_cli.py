@@ -137,6 +137,13 @@ def test_bound_rejects_negative_subset_size_before_any_output(capsys):
     assert out == ""
 
 
+def test_bound_rejects_negative_subset_limit_before_any_output(capsys):
+    status, out, err = run(capsys, "bound", "--sts", "7", "--char", "3", "--subset-limit", "-1")
+    assert status == 1
+    assert err == "error: --subset-limit must be nonnegative, got -1\n"
+    assert out == ""
+
+
 def test_bound_prime_power_note(capsys):
     status, out, _ = run(capsys, "bound", "--k2", "--normal", "--char", "4")
     assert status == 0
