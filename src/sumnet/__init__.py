@@ -48,6 +48,6 @@ from .incidence import (
 )
 from .network import SumNetwork, build_sum_network, export_graph, import_graph, min_cut
 from .report import CapacityRow, RowSpec, capacity_table, higher_family_capacity
-from .verify import VerifyReport, exhaustive_oracle, verify_exact, verify_random
+from .verify import VerifyReport, verify_exact, verify_random
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from conftest import (
     random_01_matrix,
     rank_mod_p,
     reference_code,
+    reference_exhaustive,
     to_lists,
     transfer_feasible_bruteforce,
 )
@@ -50,7 +51,7 @@ from sumnet.incidence import (
 )
 from sumnet.network import build_sum_network, min_cut
 from sumnet.report import generate_code
-from sumnet.verify import exhaustive_oracle, verify_exact
+from sumnet.verify import verify_exact
 
 
 @contextmanager
@@ -93,12 +94,13 @@ def test_c02_k2_bound_codes_and_oracle():
         assert verify_exact(net, gen).ok
         # the 64-tuple enumeration agrees with the exact verifier, on the
         # good code and on a corrupted one
-        assert exhaustive_oracle(net, gen, limit=64).ok
+        truth = reference_exhaustive(net, gen)
+        assert truth.ok and truth.trials_or_dim == 64
         broken = [e.copy() for e in gen.encoders]
         broken[0][2, :] = 0
         bad = NetworkCode(gen.m, gen.n, gen.p, gen.alpha, gen.rows, gen.cols,
                           tuple(broken), gen.decoders)
-        assert verify_exact(net, bad).ok == exhaustive_oracle(net, bad, 64).ok is False
+        assert verify_exact(net, bad).ok == reference_exhaustive(net, bad).ok is False
 
 
 def test_c03_fig4a_normal():
@@ -311,5 +313,7 @@ def test_c10e_exact_equals_exhaustive():
         cases.append((build_sum_network(row), build_scalar_code(row, PrimeField(2)), 8))
         lifted_net = build_sum_network(K2.matrix, alpha=2)
         cases.append((lifted_net, lift_code(good2, 2), 4096))
-        for net, code, limit in cases:
-            assert verify_exact(net, code).ok == exhaustive_oracle(net, code, limit).ok
+        for net, code, count in cases:
+            truth = reference_exhaustive(net, code)
+            assert truth.trials_or_dim == count
+            assert verify_exact(net, code).ok == truth.ok

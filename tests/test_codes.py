@@ -20,6 +20,7 @@ from conftest import (
     mat,
     random_01_matrix,
     reference_code,
+    reference_exhaustive,
     to_lists,
     transfer_feasible_bruteforce,
 )
@@ -49,7 +50,7 @@ from sumnet.incidence import (
 from sumnet.bounds import family_bound, subset_bound
 from sumnet.network import build_sum_network
 from sumnet.report import applicable_bounds, best_bound, generate_code, orient_matrix
-from sumnet.verify import exhaustive_oracle, verify_exact
+from sumnet.verify import verify_exact
 
 FIG4A = from_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
 K2 = from_graph(2, [(1, 2)])
@@ -554,5 +555,5 @@ def test_generated_codes_on_general_matrices(struct, orientation, char):
     report = verify_exact(net, code)
     assert report.ok
     if char ** (code.m * (a.rows + a.cols)) <= 4096:
-        assert exhaustive_oracle(net, code, 4096).ok == report.ok
+        assert reference_exhaustive(net, code).ok == report.ok
     assert codes_equal(import_code(export_code(code)), code)

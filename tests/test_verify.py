@@ -1,4 +1,4 @@
-"""The verifier itself: exact, randomized, and exhaustive modes."""
+"""The verifiers themselves: exact and randomized, against the references in conftest."""
 
 import math
 import tracemalloc
@@ -36,7 +36,6 @@ from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import (
     VerifyReport,
     _random_blocks,
-    exhaustive_oracle,
     verify_exact,
     verify_random,
 )
@@ -95,48 +94,32 @@ def test_fig4a_reference_verifies():
 def test_exhaustive_oracle_k2():
     net = build_sum_network(K2_MATRIX)
     code = reference_code("k2-normal", 2)
-    report = exhaustive_oracle(net, code, limit=64)
-    assert report.ok and report.trials_or_dim == 64
+    truth = reference_exhaustive(net, code)
+    assert truth.ok and truth.trials_or_dim == 64
+    assert verify_exact(net, code).ok
 
 
 def test_exhaustive_counts_failures_exactly():
     net = build_sum_network(K2_MATRIX)
     bad = corrupt_encoder(reference_code("k2-normal", 2), 0, 2)
-    report = exhaustive_oracle(net, bad, limit=64)
-    assert not report.ok
-    # exactly the messages with a nonzero first edge-message component fail
-    assert len(report.failures) == 32
-    assert all(t == "t_B1" for t, _ in report.failures)
-
-
-def test_exhaustive_size_refusal():
-    net = build_sum_network(K2_MATRIX)
-    code = reference_code("k2-normal", 2)
-    with pytest.raises(ValueError, match="exceed the limit"):
-        exhaustive_oracle(net, code, limit=63)
-
-
-def test_exhaustive_refusal_names_the_count_only_while_it_prints():
-    net = build_sum_network(K2_MATRIX)
-    with pytest.raises(ValueError, match=r"^2\^6 = 64 message tuples exceed the limit 63$"):
-        exhaustive_oracle(net, reference_code("k2-normal", 2), limit=63)
-    # 1000003^750 has 4501 digits, past Python's 4300-digit printing limit.
-    sts15 = steiner_triple(15)
-    code, _ = generate_code(sts15, "bibd", "normal", PrimeField(1000003))
-    net = build_sum_network(orient_matrix(sts15, "normal"))
-    message = r"^1000003\^750 message tuples exceed the limit 1000000$"
-    with pytest.raises(ValueError, match=message):
-        exhaustive_oracle(net, code, limit=10**6)
+    truth = reference_exhaustive(net, bad)
+    assert not truth.ok
+    # exactly the messages with a nonzero first edge-message component fail,
+    # all at the one terminal verify_exact names
+    assert len(truth.failures) == 32
+    assert all(t == "t_B1" for t, _ in truth.failures)
+    assert [t for t, _ in verify_exact(net, bad).failures] == ["t_B1"]
 
 
 def test_exact_agrees_with_exhaustive():
     net = build_sum_network(K2_MATRIX)
     for p in (2, 3):
         code = build_transfer_code(K2_MATRIX, PrimeField(p))
-        limit = p ** (code.m * 3)
-        assert verify_exact(net, code).ok == exhaustive_oracle(net, code, limit).ok
+        truth = reference_exhaustive(net, code)
+        assert truth.trials_or_dim == p ** (code.m * 3)
+        assert verify_exact(net, code).ok == truth.ok
         bad = corrupt_encoder(code, 1, 0)
-        assert verify_exact(net, bad).ok == exhaustive_oracle(net, bad, limit).ok is False
+        assert verify_exact(net, bad).ok == reference_exhaustive(net, bad).ok is False
 
 
 def test_exact_agrees_with_exhaustive_scalar_transpose():
@@ -144,7 +127,8 @@ def test_exact_agrees_with_exhaustive_scalar_transpose():
     net = build_sum_network(a)
     code = build_scalar_code(a, PrimeField(2))
     assert verify_exact(net, code).ok
-    assert exhaustive_oracle(net, code, limit=8).ok
+    truth = reference_exhaustive(net, code)
+    assert truth.ok and truth.trials_or_dim == 8
 
 
 def test_random_matches_exact_on_valid_codes():
@@ -200,7 +184,6 @@ def test_verifiers_refuse_a_wrong_encoder_count(count):
     for check in (
         lambda: verify_exact(net, bad),
         lambda: verify_random(net, bad, 5, 1),
-        lambda: exhaustive_oracle(net, bad, 10**6),
     ):
         with pytest.raises(ValueError, match=f"code has {count} encoders, network has 2 bottlenecks"):
             check()
@@ -260,7 +243,8 @@ def test_lifted_code_verifies_and_simulates():
         assert verify_exact(net, code).ok
         assert verify_random(net, code, trials=200, seed=3).ok
         if alpha == 2:
-            assert exhaustive_oracle(net, code, limit=5000).ok  # 2^12 tuples
+            truth = reference_exhaustive(net, code)
+            assert truth.ok and truth.trials_or_dim == 2**12
 
 
 def test_verification_never_derives_the_graph():
@@ -271,7 +255,6 @@ def test_verification_never_derives_the_graph():
         net = build_sum_network(K2_MATRIX)
         assert verify_exact(net, c).ok is ok
         assert verify_random(net, c, trials=64, seed=1).ok is ok
-        assert exhaustive_oracle(net, c, limit=64).ok is ok
         assert "edges" not in vars(net) and "nodes" not in vars(net)
 
 
@@ -283,7 +266,6 @@ def test_verifiers_refuse_characteristics_that_overflow_int64():
     for check in (
         lambda: verify_exact(net, code),
         lambda: verify_random(net, code, 5, 1),
-        lambda: exhaustive_oracle(net, code, 10**6),
     ):
         with pytest.raises(ValueError, match=f"p={p}.*2\\^63"):
             check()
@@ -312,7 +294,6 @@ def test_verifiers_refuse_non_prime_characteristics(p):
     for check in (
         lambda: verify_exact(net, code),
         lambda: verify_random(net, code, 5, 1),
-        lambda: exhaustive_oracle(net, code, 10**6),
     ):
         with pytest.raises(ValueError, match=f"p={p} is not a prime"):
             check()
@@ -330,8 +311,7 @@ def test_primality_is_refused_before_locality():
         for check in (
             lambda: verify_exact(net, bad),
             lambda: verify_random(net, bad, 5, 1),
-            lambda: exhaustive_oracle(net, bad, 10**6),
-        ):
+            ):
             with pytest.raises(ValueError, match=want):
                 check()
 
@@ -355,7 +335,6 @@ def test_verifiers_refuse_entries_outside_the_field(target, entry):
     for check in (
         lambda: verify_exact(net, bad),
         lambda: verify_random(net, bad, 50, 1),
-        lambda: exhaustive_oracle(net, bad, 10**6),
     ):
         with pytest.raises(ValueError, match=rf"{target} has an entry outside \[0, 3\)"):
             check()
@@ -375,8 +354,7 @@ def test_range_is_refused_before_locality():
         for check in (
             lambda: verify_exact(net, bad),
             lambda: verify_random(net, bad, 5, 1),
-            lambda: exhaustive_oracle(net, bad, 10**6),
-        ):
+            ):
             with pytest.raises(ValueError, match=r"^encoder e1 has an entry outside \[0, 3\)$"):
                 check()
 
@@ -388,7 +366,7 @@ def test_verify_random_rejects_negative_trials():
         verify_random(net, code, -5, 1)
 
 
-# Small codes whose every message tuple the exhaustive oracle can enumerate.
+# Small codes whose every message tuple the exhaustive reference can enumerate.
 SMALL_CODES = {
     "k2-transfer-2": lambda: (K2_MATRIX, build_transfer_code(K2_MATRIX, PrimeField(2))),
     "k2-transfer-3": lambda: (K2_MATRIX, build_transfer_code(K2_MATRIX, PrimeField(3))),
@@ -435,7 +413,8 @@ def test_exact_matches_exhaustive_on_one_corrupted_entry(name, data):
     bad = NetworkCode(code.m, code.n, p, code.alpha, code.rows, code.cols,
                       tuple(encoders), decoders)
     exact = verify_exact(net, bad)
-    truth = exhaustive_oracle(net, bad, limit=p ** (code.m * (net.r + net.c)))
+    truth = reference_exhaustive(net, bad)
+    assert truth.trials_or_dim == p ** (code.m * (net.r + net.c))
     assert exact.ok == truth.ok
     assert {t for t, _ in exact.failures} == {t for t, _ in truth.failures}
     for failure in exact.failures:
@@ -614,29 +593,6 @@ def test_simulation_matches_the_per_trial_reference(case, p, alpha, trials, seed
     net, code = sim_code(*case, p, alpha)
     bad = corrupt_entries(net, code, data)
     assert verify_random(net, bad, trials, seed) == reference_random(net, bad, trials, seed)
-    if tuple_count(case, p, alpha) <= 4096:
-        assert exhaustive_oracle(net, bad, 4096) == reference_exhaustive(net, bad)
-
-
-def tuple_count(case, p, alpha):
-    net, code = sim_code(*case, p, alpha)
-    return p ** (code.m * (net.r + net.c))
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    args=st.sampled_from([
-        (case, p, alpha)
-        for case in SIM_CASES for p in (2, 3, 5, 7) for alpha in (1, 2)
-        if tuple_count(case, p, alpha) <= 4096
-    ]),
-    data=st.data(),
-)
-def test_exhaustive_matches_the_per_tuple_reference(args, data):
-    case, p, alpha = args
-    net, code = sim_code(*case, p, alpha)
-    bad = corrupt_entries(net, code, data)
-    assert exhaustive_oracle(net, bad, 4096) == reference_exhaustive(net, bad)
 
 
 @settings(max_examples=120, deadline=None)
