@@ -190,34 +190,25 @@ def test_verifiers_refuse_a_wrong_encoder_count(count):
 
 
 def test_nonlocal_encoder_rejected():
-    net = build_sum_network(K2_MATRIX)
-    code = build_transfer_code(K2_MATRIX, PrimeField(2))
-    encoders = [e.copy() for e in code.encoders]
-    # make e1 read the message of s_p2, which does not feed it
-    encoders[0][0, 2] = 1
-    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
-                      tuple(encoders), code.decoders)
-    with pytest.raises(ValueError, match="outside the sources"):
-        verify_exact(net, bad)
-
-
-@pytest.mark.parametrize("corrupted", [(3,), (5,), (3, 5)])
-def test_nonlocal_encoders_are_named_on_sts7(corrupted):
-    # An in-range entry off the feeding columns of e3, e5 or both is refused
-    # by both verifiers, naming the lowest such encoder.
+    # An in-range entry off the feeding columns of e1 of k2 (the message of
+    # s_p2), or of e3, e5 or both of sts-7, is refused by both verifiers,
+    # naming the lowest such encoder.
     sts7 = steiner_triple(7)
-    code, _ = generate_code(sts7, "bibd", "normal", PrimeField(3))
-    net = build_sum_network(orient_matrix(sts7, "normal"))
-    encoders = [e.copy() for e in code.encoders]
-    for i in corrupted:
-        off = sorted(set(range(encoders[i - 1].shape[1])) - set(fed_columns(net, code, i)))
-        encoders[i - 1][i, off[i]] = 2
-    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
-                      tuple(encoders), code.decoders)
-    want = f"^encoder e{corrupted[0]} uses a message outside the sources feeding it$"
-    for check in (lambda: verify_exact(net, bad), lambda: verify_random(net, bad, 5, 1)):
-        with pytest.raises(ValueError, match=want):
-            check()
+    sts7_code, _ = generate_code(sts7, "bibd", "normal", PrimeField(3))
+    cases = [(K2_MATRIX, build_transfer_code(K2_MATRIX, PrimeField(2)), (1,))]
+    cases += [(orient_matrix(sts7, "normal"), sts7_code, c) for c in ((3,), (5,), (3, 5))]
+    for a, code, corrupted in cases:
+        net = build_sum_network(a)
+        encoders = [e.copy() for e in code.encoders]
+        for i in corrupted:
+            off = sorted(set(range(encoders[i - 1].shape[1])) - set(fed_columns(net, code, i)))
+            encoders[i - 1][i, off[i]] = 1
+        bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                          tuple(encoders), code.decoders)
+        want = f"^encoder e{corrupted[0]} uses a message outside the sources feeding it$"
+        for check in (lambda: verify_exact(net, bad), lambda: verify_random(net, bad, 5, 1)):
+            with pytest.raises(ValueError, match=want):
+                check()
 
 
 def test_decoder_with_wrong_inputs_rejected():
