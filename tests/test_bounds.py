@@ -1,6 +1,7 @@
 """Capacity upper bounds and their witnesses."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -136,6 +137,64 @@ def test_subset_bound_fano_and_k2():
     assert subset_bound(mat(FANO_MATRIX), PrimeField(2)).bound == 1
     for p in (2, 3, 5):
         assert subset_bound(mat([[1], [1]]), PrimeField(p)).bound == Fraction(2, 3)
+
+
+def _witness(res):
+    return res.bound, res.subset, res.closure, res.x_s
+
+
+def test_subset_bound_skips_rows_in_no_column_support():
+    # The union of all supports leaves the zero row out: 2/3 on two rows, not 3/4 on three.
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        assert _witness(subset_bound(mat([[1], [1], [0]]), field)) == (Fraction(2, 3), (1, 2), (4,), 3)
+        assert _witness(subset_bound(mat([[0], [1], [1]]), field)) == (Fraction(2, 3), (2, 3), (4,), 3)
+
+
+def test_subset_bound_proper_closed_set_ties_the_union_of_all_supports():
+    # Two disjoint [[1],[1]] blocks: all four rows give 4/6, each pair 2/3.
+    # The pair {1,2} wins on |S|, and it is the support of the last column:
+    # its child's bound 2/(2+1) equals the incumbent, so equality must not prune.
+    a = mat([[0, 1], [0, 1], [1, 0], [1, 0]])
+    for p in (2, 3, 5):
+        assert _witness(subset_bound(a, PrimeField(p))) == (Fraction(2, 3), (1, 2), (6,), 3)
+        assert _witness(subset_bound_limited(a, PrimeField(p), 3)) == (Fraction(2, 3), (1, 2), (6,), 3)
+
+
+def test_subset_bound_limited_admits_no_union_above_the_limit():
+    # One column on three rows: at char 3 its residue entry is 2, so all rows give 3/4.
+    a, field = mat([[1], [1], [1]]), PrimeField(3)
+    assert _witness(subset_bound_limited(a, field, 2)) == (Fraction(1), (1,), (), 1)
+    assert _witness(subset_bound_limited(a, field, 3)) == (Fraction(3, 4), (1, 2, 3), (4,), 4)
+    assert _witness(subset_bound(a, field)) == (Fraction(3, 4), (1, 2, 3), (4,), 4)
+
+
+def test_subset_bound_counts_the_added_column_in_the_rank_bound():
+    # At char 2 only column 2 has a nonzero residue row.  A child's rank bound
+    # that left out the column it adds would read 0 for {1,2} and drop it,
+    # returning all rows at 3/4.
+    a = mat([[0, 1], [0, 1], [1, 0]])
+    for p in (2, 3):
+        assert _witness(subset_bound(a, PrimeField(p))) == (Fraction(2, 3), (1, 2), (5,), 3)
+
+
+def test_repeated_subset_searches_keep_no_memory():
+    # A search that kept something per call would show here as growth, and
+    # in the benchmark as peak RSS charged to whichever side runs more passes.
+    # Tracing makes each search about 20 times slower, hence three calls.  The
+    # first call runs traced, so the interpreter's free lists it fills are
+    # counted in ``before``.
+    a, field = steiner_triple(13).matrix, PrimeField(3)
+    tracemalloc.start()
+    try:
+        subset_bound(a, field)
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):
+            subset_bound(a, field)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 4 * 2**10
 
 
 def test_subset_bound_refusal():

@@ -33,6 +33,9 @@ CASES: dict[str, tuple[list[str], int, tuple[str, ...]]] = {
     "bound-fig3": (["bound", "--graph", "fig3", "--transpose", "--char", "3"], 0, ()),
     # A simple graph's residue is I: t = b, and the overlap count stays sparse.
     "bound-k40": (["bound", "--complete", "40", "--char", "3"], 0, ()),
+    # The exact subset search on 13 rows: the rank bound wins at chars 3 and 5,
+    # and at char 2, where every value is 1, {1} wins the tie on |S|.
+    "bound-sts13": (["bound", "--sts", "13", "--char", "2,3,5"], 0, ()),
     "bound-star-composite": (
         ["bound", "--graph", "star-composite", "--transpose", "--char", "2,3,5"], 0, ()
     ),
