@@ -20,6 +20,9 @@ r / (r + rank_p R).  Only closed row sets need searching: the union U of
 the supports of C(S) has C(U) = C(S) and |U| <= |S|, so U's value is no
 larger and U comes no later in the tie-break.  The minimizer is therefore
 a union of column supports, or the singleton {1} when every value is 1.
+The search starts from the better of {1} and the union of all supports,
+whose x_S is |S| + rank_p R, and skips every branch whose value is bounded
+strictly above the best set so far; ``_min_subset`` gives the bound.
 
 Row subsets and witness indices are reported 1-based; a column witness is
 reported by its row index r+j inside the block matrix.
@@ -86,11 +89,16 @@ def bound_matrix(a: IntMatrix) -> IntMatrix:
 
 def rank_bound(a: IntMatrix, field: PrimeField) -> BoundResult:
     """Upper bound r / rank(bound matrix) = r / (r + rank_p R) over GF(p); at most 1."""
-    basis: dict[int, dict[int, int]] = {}
-    defect = sum(_extend(basis, row, field.p) for row in residue_rows(a, field.p))
+    defect = _rank(residue_rows(a, field.p), field.p)
     return BoundResult(
         bound=Fraction(a.rows, a.rows + defect), char=field.p, via="rank", rank_defect=defect
     )
+
+
+def _rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of sparse rows, by ``_extend`` into one basis."""
+    basis: dict[int, dict[int, int]] = {}
+    return sum(_extend(basis, row, p) for row in rows)
 
 
 def _extend(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -> bool:
@@ -155,6 +163,22 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     (LCM, Uno et al. 2004): a child adds a column k above its parent's core
     and is kept only if no column below k closes with it.  Each child
     extends its parent's residue basis by the rows of the columns it closes.
+
+    It is a branch and bound on the value.  The incumbent starts as the
+    better of {1} and U_all, the union of all column supports (rows in no
+    support left out), if 0 < |U_all| <= max_size.  U_all closes every
+    column, so x_{U_all} = |U_all| + t with t = rank_p R.  Both are sets the
+    search visits, so the minimum and its witness are unchanged.  A child
+    adding column k has s rows; its parent's basis has rank q.  Every set
+    in the child's subtree has at least s rows and closes, beyond the
+    parent's columns, only columns unclosed at the parent and not below k
+    (k among them), so its rank is at most M = min(t, q + #those columns)
+    and its value at least s/(s+M).  A child whose bound is strictly above
+    the incumbent's value is dropped before its closure scan.  Equality
+    does not prune: a set of exactly that value in the subtree could still
+    win the tie-break on |S| or lexicographically.  Every child adds a
+    row and M only falls as k grows, so a node stops scanning children at
+    the first k where even s = |U|+1 is dropped.
     """
     r, c, p = a.rows, a.cols, field.p
     supports = column_masks(a)
@@ -162,9 +186,16 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     residue = residue_rows(a, p)
     limit = min(max_size, r)
     full = (1 << c) - 1
+    t = _rank(residue, p)
     # (row mask, |S|, rank of the closed residue rows).  {1} closes only columns
     # supported inside one row, whose residue rows are zero, so x_{1} = 1.
     best = (1, 1, 0)
+    union_all = 0
+    for s in supports:
+        union_all |= s
+    size_all = union_all.bit_count()
+    if 0 < size_all <= limit and _better(union_all, size_all, t, best):
+        best = (union_all, size_all, t)
     # Pending children: union, closed columns, core, parent basis, columns the
     # child closes, and the parent's rejections (column k -> a column j < k that
     # closes with it).  A rejection holds in every descendant where j is still
@@ -177,15 +208,17 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
         for j in new:
             _extend(basis, residue[j], p)
         size, rank = union.bit_count(), len(basis)
-        b_union, b_size, b_rank = best
-        lhs, rhs = size * (b_size + b_rank), b_size * (size + rank)
-        diff = union ^ b_union
-        if union and (lhs < rhs or lhs == rhs and (
-                size < b_size or size == b_size and union & diff & -diff)):
+        if union and _better(union, size, rank, best):
             best = (union, size, rank)
+        _, b_size, b_rank = best
         rejected: dict[int, int] = {}  # complete before any child is popped
         todo = full & ~closed & ~((1 << (core + 1)) - 1)
         while todo:
+            # todo holds the unclosed columns not below the next k.  A child
+            # adds at least one row, and the bound only grows as todo shrinks.
+            most = min(t, rank + todo.bit_count())
+            if (size + 1) * b_rank > b_size * most:
+                break
             bit = todo & -todo
             todo ^= bit
             k = bit.bit_length() - 1
@@ -194,7 +227,9 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
                 rejected[k] = j
                 continue
             gained = supports[k] & ~union
-            if size + gained.bit_count() > limit:
+            grown_size = size + gained.bit_count()
+            # s/(s+M) above b_size/(b_size+b_rank), cross-multiplied.
+            if grown_size > limit or grown_size * b_rank > b_size * most:
                 continue
             grown = union | gained
             # A newly closed column meets a gained row; scan them in index order.
@@ -220,6 +255,15 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     # Built from lists: tuple() over a generator let peak RSS creep up per call.
     subset = tuple([i + 1 for i in range(r) if union >> i & 1])
     return Fraction(size, size + rank), subset, _closure(r, supports, subset), size + rank
+
+
+def _better(union: int, size: int, rank: int, best: tuple[int, int, int]) -> bool:
+    """Whether a row set comes before ``best`` in (value, |S|, lexicographic) order."""
+    b_union, b_size, b_rank = best
+    lhs, rhs = size * (b_size + b_rank), b_size * (size + rank)
+    diff = union ^ b_union
+    return lhs < rhs or lhs == rhs and (
+        size < b_size or size == b_size and bool(union & diff & -diff))
 
 
 def subset_bound(a: IntMatrix, field: PrimeField, exhaustive_limit: int = 20) -> BoundResult:

@@ -147,8 +147,10 @@ def test_subset_bound_skips_rows_in_no_column_support():
     # The union of all supports leaves the zero row out: 2/3 on two rows, not 3/4 on three.
     for p in (2, 3, 5):
         field = PrimeField(p)
-        assert _witness(subset_bound(mat([[1], [1], [0]]), field)) == (Fraction(2, 3), (1, 2), (4,), 3)
-        assert _witness(subset_bound(mat([[0], [1], [1]]), field)) == (Fraction(2, 3), (2, 3), (4,), 3)
+        got = _witness(subset_bound(mat([[1], [1], [0]]), field))
+        assert got == (Fraction(2, 3), (1, 2), (4,), 3)
+        got = _witness(subset_bound(mat([[0], [1], [1]]), field))
+        assert got == (Fraction(2, 3), (2, 3), (4,), 3)
 
 
 def test_subset_bound_proper_closed_set_ties_the_union_of_all_supports():
@@ -157,8 +159,9 @@ def test_subset_bound_proper_closed_set_ties_the_union_of_all_supports():
     # its child's bound 2/(2+1) equals the incumbent, so equality must not prune.
     a = mat([[0, 1], [0, 1], [1, 0], [1, 0]])
     for p in (2, 3, 5):
-        assert _witness(subset_bound(a, PrimeField(p))) == (Fraction(2, 3), (1, 2), (6,), 3)
-        assert _witness(subset_bound_limited(a, PrimeField(p), 3)) == (Fraction(2, 3), (1, 2), (6,), 3)
+        want = (Fraction(2, 3), (1, 2), (6,), 3)
+        assert _witness(subset_bound(a, PrimeField(p))) == want
+        assert _witness(subset_bound_limited(a, PrimeField(p), 3)) == want
 
 
 def test_subset_bound_limited_admits_no_union_above_the_limit():
