@@ -104,6 +104,7 @@ def test_from_order_on_large_prime_powers():
     assert PrimeField.from_order(2**61 - 1).p == 2**61 - 1
     assert PrimeField.from_order((2**61 - 1) ** 2).p == 2**61 - 1
     assert PrimeField.from_order(3**40).p == 3
+    assert PrimeField.from_order(3**8000).p == 3
     for q in (6**20, 2**61 * 3, (2**61 - 1) * (2**13 - 1)):
         with pytest.raises(ValueError, match="not a prime power"):
             PrimeField.from_order(q)

@@ -36,6 +36,8 @@ CASES: dict[str, tuple[list[str], int, tuple[str, ...]]] = {
     # The exact subset search on 13 rows: the rank bound wins at chars 3 and 5,
     # and at char 2, where every value is 1, {1} wins the tie on |S|.
     "bound-sts13": (["bound", "--sts", "13", "--char", "2,3,5"], 0, ()),
+    # Every value is 1 at char 2, and {1} wins on |S|: a tied child with more rows drops.
+    "bound-sts15-char2": (["bound", "--sts", "15", "--char", "2"], 0, ()),
     "bound-star-composite": (
         ["bound", "--graph", "star-composite", "--transpose", "--char", "2,3,5"], 0, ()
     ),
