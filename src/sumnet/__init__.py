@@ -10,7 +10,6 @@ from .bounds import (
     BoundResult,
     SubsetSearchRefused,
     bound_matrix,
-    closure_columns,
     family_bound,
     rank_bound,
     subset_bound,

@@ -21,8 +21,9 @@ the supports of C(S) has C(U) = C(S) and |U| <= |S|, so U's value is no
 larger and U comes no later in the tie-break.  The minimizer is therefore
 a union of column supports, or the singleton {1} when every value is 1.
 The search starts from the better of {1} and the union of all supports,
-whose x_S is |S| + rank_p R, and skips every branch whose value is bounded
-strictly above the best set so far; ``_min_subset`` gives the bound.
+whose x_S is |S| + rank_p R, and skips every branch whose sets all come
+after the best set so far in the one (value, |S|) order that also ranks
+the witnesses; ``_min_subset`` gives the bound.
 
 Row subsets and witness indices are reported 1-based; a column witness is
 reported by its row index r+j inside the block matrix.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .gf import IntMatrix, PrimeField, column_masks, gram, residue_rows
 from .incidence import IncidenceStructure, validate_design
@@ -127,26 +128,6 @@ def _extend(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -> bo
     return False
 
 
-def closure_columns(a: IntMatrix, subset: Iterable[int]) -> frozenset[int]:
-    """Columns of A whose support lies inside the given row subset.
-
-    ``subset`` holds 1-based row indices.  The result is reported as the
-    corresponding bound-matrix row indices r+j (1-based), matching how the
-    subset-bound witness is quoted.
-    """
-    rows = set(subset)
-    if not rows <= set(range(1, a.rows + 1)):
-        raise ValueError("subset must contain row indices in 1..r")
-    return frozenset(_closure(a.rows, column_masks(a), rows))
-
-
-def _closure(r: int, supports: list[int], subset: Iterable[int]) -> tuple[int, ...]:
-    """Bound-matrix rows r+j (1-based, ascending) of the columns supported inside subset."""
-    inside = sum(1 << (i - 1) for i in subset)
-    # Built from a list: tuple() over a generator here let peak RSS creep up with every search.
-    return tuple([r + j + 1 for j, s in enumerate(supports) if not s & ~inside])
-
-
 class SubsetSearchRefused(ValueError):
     """Raised when the exact subset enumeration would be too large."""
 
@@ -164,21 +145,24 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     and is kept only if no column below k closes with it.  Each child
     extends its parent's residue basis by the rows of the columns it closes.
 
-    It is a branch and bound on the value.  The incumbent starts as the
-    better of {1} and U_all, the union of all column supports (rows in no
-    support left out), if 0 < |U_all| <= max_size.  U_all closes every
-    column, so x_{U_all} = |U_all| + t with t = rank_p R.  Both are sets the
-    search visits, so the minimum and its witness are unchanged.  A child
-    adding column k has s rows; its parent's basis has rank q.  Every set
-    in the child's subtree has at least s rows and closes, beyond the
-    parent's columns, only columns unclosed at the parent and not below k
-    (k among them), so its rank is at most M = min(t, q + #those columns)
-    and its value at least s/(s+M).  A child whose bound is strictly above
-    the incumbent's value is dropped before its closure scan.  Equality
-    does not prune: a set of exactly that value in the subtree could still
-    win the tie-break on |S| or lexicographically.  Every child adds a
-    row and M only falls as k grows, so a node stops scanning children at
-    the first k where even s = |U|+1 is dropped.
+    It is a branch and bound in the same (value, |S|) order.  The incumbent
+    starts as the better of {1} and U_all, the union of all column supports
+    (rows in no support left out), if 0 < |U_all| <= max_size.  U_all
+    closes every column, so x_{U_all} = |U_all| + t with t = rank_p R.  Both
+    are sets the search visits, so the minimum and its witness are
+    unchanged.  A child adding column k has s rows; its parent's basis has
+    rank q.  Every set in the child's subtree has at least s rows and
+    closes, beyond the parent's columns, only columns unclosed at the
+    parent and not below k (k among them), so its rank is at most M =
+    min(t, q + #those columns) and its value at least s/(s+M).  A child is
+    dropped before its closure scan when that bound is above the
+    incumbent's value, or equal to it with s above the incumbent's |S|
+    (``_beaten``).  A tie alone does not prune: a set of that value and no
+    more rows could still win on |S| or lexicographically.  Every child
+    adds a row and M only falls as k grows, so a node stops scanning
+    children at the first k where even s = |U|+1 is dropped.  A child that
+    some column below k closes with is found again by each descendant's
+    own scan; nothing is remembered between nodes.
     """
     r, c, p = a.rows, a.cols, field.p
     supports = column_masks(a)
@@ -196,40 +180,30 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     size_all = union_all.bit_count()
     if 0 < size_all <= limit and _better(union_all, size_all, t, best):
         best = (union_all, size_all, t)
-    # Pending children: union, closed columns, core, parent basis, columns the
-    # child closes, and the parent's rejections (column k -> a column j < k that
-    # closes with it).  A rejection holds in every descendant where j is still
-    # unclosed: j's support stays inside the union grown by k's.
+    # Pending children: union, closed columns, core, parent basis, columns the child closes.
     empty = sum(1 << j for j, s in enumerate(supports) if not s)
-    stack = [(0, empty, -1, {}, (), {})]
+    stack = [(0, empty, -1, {}, ())]
     while stack:
-        union, closed, core, basis, new, blocked = stack.pop()
+        union, closed, core, basis, new = stack.pop()
         basis = dict(basis)
         for j in new:
             _extend(basis, residue[j], p)
         size, rank = union.bit_count(), len(basis)
         if union and _better(union, size, rank, best):
             best = (union, size, rank)
-        _, b_size, b_rank = best
-        rejected: dict[int, int] = {}  # complete before any child is popped
         todo = full & ~closed & ~((1 << (core + 1)) - 1)
         while todo:
             # todo holds the unclosed columns not below the next k.  A child
             # adds at least one row, and the bound only grows as todo shrinks.
             most = min(t, rank + todo.bit_count())
-            if (size + 1) * b_rank > b_size * most:
+            if _beaten(size + 1, most, best):
                 break
             bit = todo & -todo
             todo ^= bit
             k = bit.bit_length() - 1
-            j = blocked.get(k)
-            if j is not None and not closed >> j & 1:
-                rejected[k] = j
-                continue
             gained = supports[k] & ~union
             grown_size = size + gained.bit_count()
-            # s/(s+M) above b_size/(b_size+b_rank), cross-multiplied.
-            if grown_size > limit or grown_size * b_rank > b_size * most:
+            if grown_size > limit or _beaten(grown_size, most, best):
                 continue
             grown = union | gained
             # A newly closed column meets a gained row; scan them in index order.
@@ -246,15 +220,15 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
                 j = low.bit_length() - 1
                 if not supports[j] & ~grown:
                     if j < k:
-                        rejected[k] = j
                         break
                     closes.append(j)
             else:
-                stack.append((grown, closed | sum(1 << j for j in closes), k, basis, closes, rejected))
+                stack.append((grown, closed | sum(1 << j for j in closes), k, basis, closes))
     union, size, rank = best
     # Built from lists: tuple() over a generator let peak RSS creep up per call.
     subset = tuple([i + 1 for i in range(r) if union >> i & 1])
-    return Fraction(size, size + rank), subset, _closure(r, supports, subset), size + rank
+    closure = tuple([r + j + 1 for j, s in enumerate(supports) if not s & ~union])
+    return Fraction(size, size + rank), subset, closure, size + rank
 
 
 def _better(union: int, size: int, rank: int, best: tuple[int, int, int]) -> bool:
@@ -264,6 +238,17 @@ def _better(union: int, size: int, rank: int, best: tuple[int, int, int]) -> boo
     diff = union ^ b_union
     return lhs < rhs or lhs == rhs and (
         size < b_size or size == b_size and bool(union & diff & -diff))
+
+
+def _beaten(size: int, most: int, best: tuple[int, int, int]) -> bool:
+    """Whether every set of at least ``size`` rows and rank at most ``most`` comes after ``best``.
+
+    Such a set has value at least size/(size+most): it loses when that is
+    above the best value, or equal to it with more rows than the best set.
+    """
+    _, b_size, b_rank = best
+    lhs, rhs = size * b_rank, b_size * most  # size/(size+most) against b_size/(b_size+b_rank)
+    return lhs > rhs or lhs == rhs and size > b_size
 
 
 def subset_bound(a: IntMatrix, field: PrimeField, exhaustive_limit: int = 20) -> BoundResult:

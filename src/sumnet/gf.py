@@ -10,9 +10,10 @@ holds the supports.  The package's one GF(p) elimination,
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,13 +58,22 @@ def is_prime(n: int) -> bool:
 
 
 def _integer_root(q: int, k: int) -> int:
-    """floor(q ** (1/k)) computed exactly."""
-    x = 1 << -(-q.bit_length() // k)  # at least the root
+    """floor(q ** (1/k)) computed exactly.
+
+    Newton's step from any x > 0 lands at or above the root (AM-GM), and from
+    above it falls to the root, but by only a factor of about 1 - 1/k a step
+    while x is far off.  So the start is the float estimate, good to about
+    12 digits, raised by 2^-30 to sit just above the root.
+    """
+    bits = math.log2(q) / k
+    shift = max(int(bits) - 52, 0)
+    x = int(2 ** (bits - shift) * (1 + 2**-30) + 1) << shift
+    y = ((k - 1) * x + q // x ** (k - 1)) // k
     while True:
+        x = y
         y = ((k - 1) * x + q // x ** (k - 1)) // k
         if y >= x:
             return x
-        x = y
 
 
 @dataclass(frozen=True)
@@ -86,11 +96,15 @@ class PrimeField:
         """
         if q < 2:
             raise ValueError(f"field order must be at least 2, got {q}")
-        # The largest k with q an exact k-th power gives the only candidate p.
-        for k in range(q.bit_length(), 0, -1):
-            p = _integer_root(q, k)
-            if p**k == q:
-                break
+        # Taking prime roots while one is exact leaves the root of q that is no
+        # perfect power, the only candidate p.
+        p, k = q, 2
+        while 1 << k <= p:  # a k-th root of p is at least 2
+            root = _integer_root(p, k)
+            if root**k == p:
+                p = root  # p may be a k-th power again
+            else:
+                k = next(n for n in count(k + 1) if is_prime(n))
         if not is_prime(p):
             raise ValueError(f"{q} is not a prime power")
         return cls(p)

@@ -18,11 +18,11 @@ from conftest import (
     rank_mod_p,
     to_lists,
 )
+from sumnet import bounds
 from sumnet.bounds import (
     BoundResult,
     SubsetSearchRefused,
     bound_matrix,
-    closure_columns,
     family_bound,
     rank_bound,
     subset_bound,
@@ -116,15 +116,6 @@ def test_rank_bound_never_exceeds_one():
             assert res.bound.numerator <= a.rows  # r/(r+t) in lowest terms
 
 
-def test_closure_columns_fig3():
-    a = FIG3.matrix.transpose()
-    assert closure_columns(a, {1, 2, 3}) == frozenset({5, 6, 7, 8})
-    assert closure_columns(a, {1, 2, 3, 4}) == frozenset(range(5, 11))
-    assert closure_columns(a, set()) == frozenset()
-    with pytest.raises(ValueError):
-        closure_columns(a, {0})
-
-
 def test_subset_bound_fig3_transpose():
     res = subset_bound(FIG3.matrix.transpose(), PrimeField(3))
     assert res.bound == Fraction(3, 4)
@@ -179,6 +170,24 @@ def test_subset_bound_counts_the_added_column_in_the_rank_bound():
     a = mat([[0, 1], [0, 1], [1, 0]])
     for p in (2, 3):
         assert _witness(subset_bound(a, PrimeField(p))) == (Fraction(2, 3), (1, 2), (5,), 3)
+
+
+def test_char_2_steiner_search_extends_only_the_rank_basis(monkeypatch):
+    # Every value is 1 at char 2 and {1} wins on |S|, so each child, tied at
+    # value 1 with more rows, is dropped: the only eliminations are _rank's
+    # single pass over the 35 residue rows.  Without the tie rule the search
+    # visited all 18,170 closed sets.
+    calls = []
+    extend = bounds._extend
+
+    def counted(*args):
+        calls.append(1)
+        return extend(*args)
+
+    monkeypatch.setattr(bounds, "_extend", counted)
+    res = subset_bound(steiner_triple(15).matrix, PrimeField(2))
+    assert _witness(res) == (Fraction(1), (1,), (), 1)
+    assert len(calls) == 35
 
 
 def test_repeated_subset_searches_keep_no_memory():
@@ -362,6 +371,12 @@ def zero_one_matrices(draw, max_rows=8, max_cols=6):
     return IntMatrix.from_rows(rows)
 
 
+def _closure_rows(a, subset):
+    """Bound-matrix rows r+j (1-based) of the columns whose support lies inside subset."""
+    return tuple(a.rows + j + 1 for j in range(a.cols)
+                 if all(i + 1 in subset for i in range(a.rows) if a.at(i, j)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(a=zero_one_matrices(), char=st.sampled_from([2, 3, 5]))
 def test_limited_search_at_full_size_equals_exact_search(a, char):
@@ -377,22 +392,11 @@ def test_limited_search_at_full_size_equals_exact_search(a, char):
     terms = []
     for size in range(1, a.rows + 1):
         for subset in combinations(range(1, a.rows + 1), size):
-            picked = [i - 1 for i in subset + tuple(sorted(closure_columns(a, subset)))]
+            picked = [i - 1 for i in subset + _closure_rows(a, subset)]
             x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
             terms.append((Fraction(size, x_s), size, subset))
     best, _, subset = min(terms)
     assert (exact.bound, exact.subset) == (best, subset)
-
-
-@settings(max_examples=80, deadline=None)
-@given(a=zero_one_matrices(), data=st.data())
-def test_closure_columns_matches_the_set_definition(a, data):
-    # The subset search derives its closures the same way, so the property
-    # above relies on this independent check of the definition.
-    subset = data.draw(st.sets(st.integers(1, a.rows)), label="subset")
-    want = {a.rows + j + 1 for j in range(a.cols)
-            if {i + 1 for i in range(a.rows) if a.at(i, j)} <= subset}
-    assert closure_columns(a, subset) == want
 
 
 @st.composite
@@ -433,7 +437,7 @@ def _brute_force_terms(a, field, max_size):
     terms = []
     for size in range(1, min(max_size, a.rows) + 1):
         for subset in combinations(range(1, a.rows + 1), size):
-            closure = tuple(sorted(closure_columns(a, subset)))
+            closure = _closure_rows(a, subset)
             picked = [i - 1 for i in subset + closure]
             x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
             terms.append((Fraction(size, x_s), size, subset, closure, x_s))

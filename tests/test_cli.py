@@ -250,6 +250,43 @@ def test_bound_on_a_large_complete_graph_does_not_hang(capsys):
     assert time.process_time() - start < 10
 
 
+def _too_large(v, b, limit=incidence.MAX_INCIDENCE_ENTRIES):
+    return (f"error: a structure of {v} points and {b} blocks would hold {v * b} incidence "
+            f"entries, above the limit of {limit}\n")
+
+
+@pytest.mark.parametrize("flag,value,v,b", [
+    ("--complete", "30000", 30000, 449_985_000),
+    ("--sts", "30001", 30001, 150_005_000),
+    ("--design", "2-40-20-33578000610", 40, 137_846_528_820),  # all C(40,20) 20-subsets
+])
+def test_bound_refuses_a_structure_too_large_to_hold(capsys, flag, value, v, b):
+    # v*b is decided before any block is generated: each of these ran out of
+    # memory under a 1.5 GB address-space cap.
+    start = time.process_time()
+    assert run(capsys, "bound", "--char", "3", flag, value) == (1, "", _too_large(v, b))
+    assert time.process_time() - start < 1
+
+
+def test_bound_refuses_a_higher_structure_too_large_to_hold(capsys, monkeypatch):
+    # The 2-(6,3,4) base holds 6 x 20 entries; its subset-vs-block structure,
+    # 15 x 20, is refused before its matrix is built.
+    monkeypatch.setattr(incidence, "MAX_INCIDENCE_ENTRIES", 200)
+    assert run(capsys, "bound", "--char", "3", "--higher", "2-6-3-4") == (
+        1, "", _too_large(15, 20, 200))
+
+
+def test_bound_refuses_a_long_order_quickly(capsys):
+    # 4,299 digits, the most int() parses, and no Miller-Rabin base divides it.
+    q = 10**4298 + 7
+    start = time.process_time()
+    assert run(capsys, "bound", "--k2", "--char", str(q)) == (1, "", (
+        f"error: cannot decide whether {q} is prime: deterministic primality "
+        "is limited to n < 3317044064679887385961981\n"
+    ))
+    assert time.process_time() - start < 1
+
+
 def test_table_sts_dichotomy(capsys):
     status, out, _ = run(capsys, "table", "sts", "--v", "7,9", "--char", "2,3")
     assert status == 0

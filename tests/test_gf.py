@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,19 @@ def test_from_order_on_large_prime_powers():
             PrimeField.from_order(q)
     with pytest.raises(ValueError, match="deterministic primality"):
         PrimeField.from_order((2**61 - 1) * (2**31 - 1))
+
+
+def test_from_order_decides_long_orders_quickly():
+    # Only prime exponents are tried, each root starts just above its value.
+    # Trying every exponent from q's bit length down took 26 s on the first.
+    start = time.process_time()
+    with pytest.raises(ValueError, match="deterministic primality"):
+        PrimeField.from_order(10**4298 + 7)  # 4,299 digits, coprime to every base
+    with pytest.raises(ValueError, match="deterministic primality"):
+        PrimeField.from_order(10**2000 + 1)
+    assert PrimeField.from_order(3**8000).p == 3
+    assert PrimeField.from_order((2**61 - 1) ** 70).p == 2**61 - 1
+    assert time.process_time() - start < 1
 
 
 def test_int_matrix_shape_checks():
