@@ -154,15 +154,18 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     rank q.  Every set in the child's subtree has at least s rows and
     closes, beyond the parent's columns, only columns unclosed at the
     parent and not below k (k among them), so its rank is at most M =
-    min(t, q + #those columns) and its value at least s/(s+M).  A child is
-    dropped before its closure scan when that bound is above the
-    incumbent's value, or equal to it with s above the incumbent's |S|
-    (``_beaten``).  A tie alone does not prune: a set of that value and no
-    more rows could still win on |S| or lexicographically.  Every child
-    adds a row and M only falls as k grows, so a node stops scanning
-    children at the first k where even s = |U|+1 is dropped.  A child that
-    some column below k closes with is found again by each descendant's
-    own scan; nothing is remembered between nodes.
+    min(t, q + #those columns) and its value at least s/(s+M).  The
+    subtree comes after the incumbent, of b rows and rank q_b, when that
+    bound is above the incumbent's value, or equal to it with s > b: when
+    d = s*q_b - b*M > 0, or d = 0 and s > b.  A tie alone does not prune: a
+    set of that value and no more rows could still win on |S| or
+    lexicographically.  As |s - b| < w = r+1, the test is w*d + s - b > 0,
+    that is s > cut = b*(w*M + 1) // (w*q_b + 1): one cut on the row count
+    per k.  A child above it is dropped before its closure scan.  Every
+    child adds a row and the cut only falls as k grows, so a node stops
+    scanning children at the first k where even s = |U|+1 is above it.  A
+    child that some column below k closes with is found again by each
+    descendant's own scan; nothing is remembered between nodes.
     """
     r, c, p = a.rows, a.cols, field.p
     supports = column_masks(a)
@@ -171,6 +174,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
     limit = min(max_size, r)
     full = (1 << c) - 1
     t = _rank(residue, p)
+    w = r + 1
     # (row mask, |S|, rank of the closed residue rows).  {1} closes only columns
     # supported inside one row, whose residue rows are zero, so x_{1} = 1.
     best = (1, 1, 0)
@@ -191,19 +195,21 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
         size, rank = union.bit_count(), len(basis)
         if union and _better(union, size, rank, best):
             best = (union, size, rank)
+        _, b_size, b_rank = best
         todo = full & ~closed & ~((1 << (core + 1)) - 1)
         while todo:
             # todo holds the unclosed columns not below the next k.  A child
-            # adds at least one row, and the bound only grows as todo shrinks.
+            # adds at least one row, and the cut only falls as todo shrinks.
             most = min(t, rank + todo.bit_count())
-            if _beaten(size + 1, most, best):
+            cut = b_size * (w * most + 1) // (w * b_rank + 1)
+            if size >= cut:
                 break
             bit = todo & -todo
             todo ^= bit
             k = bit.bit_length() - 1
             gained = supports[k] & ~union
             grown_size = size + gained.bit_count()
-            if grown_size > limit or _beaten(grown_size, most, best):
+            if grown_size > cut or grown_size > limit:
                 continue
             grown = union | gained
             # A newly closed column meets a gained row; scan them in index order.
@@ -213,7 +219,7 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
                 gained ^= low
                 candidates |= row_columns[low.bit_length() - 1]
             candidates &= ~closed
-            closes = []
+            closes, closing = [], 0
             while candidates:
                 low = candidates & -candidates
                 candidates ^= low
@@ -222,8 +228,9 @@ def _min_subset(a: IntMatrix, field: PrimeField, max_size: int):
                     if j < k:
                         break
                     closes.append(j)
+                    closing |= low
             else:
-                stack.append((grown, closed | sum(1 << j for j in closes), k, basis, closes))
+                stack.append((grown, closed | closing, k, basis, closes))
     union, size, rank = best
     # Built from lists: tuple() over a generator let peak RSS creep up per call.
     subset = tuple([i + 1 for i in range(r) if union >> i & 1])
@@ -238,17 +245,6 @@ def _better(union: int, size: int, rank: int, best: tuple[int, int, int]) -> boo
     diff = union ^ b_union
     return lhs < rhs or lhs == rhs and (
         size < b_size or size == b_size and bool(union & diff & -diff))
-
-
-def _beaten(size: int, most: int, best: tuple[int, int, int]) -> bool:
-    """Whether every set of at least ``size`` rows and rank at most ``most`` comes after ``best``.
-
-    Such a set has value at least size/(size+most): it loses when that is
-    above the best value, or equal to it with more rows than the best set.
-    """
-    _, b_size, b_rank = best
-    lhs, rhs = size * b_rank, b_size * most  # size/(size+most) against b_size/(b_size+b_rank)
-    return lhs > rhs or lhs == rhs and size > b_size
 
 
 def subset_bound(a: IntMatrix, field: PrimeField, exhaustive_limit: int = 20) -> BoundResult:

@@ -175,8 +175,8 @@ def test_subset_bound_counts_the_added_column_in_the_rank_bound():
 def test_char_2_steiner_search_extends_only_the_rank_basis(monkeypatch):
     # Every value is 1 at char 2 and {1} wins on |S|, so each child, tied at
     # value 1 with more rows, is dropped: the only eliminations are _rank's
-    # single pass over the 35 residue rows.  Without the tie rule the search
-    # visited all 18,170 closed sets.
+    # single pass over the 35 residue rows.  A search that kept tied children
+    # would visit all 18,170 closed sets.
     calls = []
     extend = bounds._extend
 

@@ -114,8 +114,8 @@ def test_from_order_on_large_prime_powers():
 
 
 def test_from_order_decides_long_orders_quickly():
-    # Only prime exponents are tried, each root starts just above its value.
-    # Trying every exponent from q's bit length down took 26 s on the first.
+    # The first order has 14,278 bits: about 1,700 prime exponents to try, each
+    # root a few Newton steps from a start just above it.
     start = time.process_time()
     with pytest.raises(ValueError, match="deterministic primality"):
         PrimeField.from_order(10**4298 + 7)  # 4,299 digits, coprime to every base
