@@ -314,10 +314,11 @@ def test_primality_is_refused_before_locality():
 ])
 def test_verifiers_refuse_entries_outside_the_field(target, entry):
     # Each entry is congruent to an honest one mod 3, but the int64 limit
-    # assumes entries below p: 1 + 3*2^61 makes enc @ x wrap around.
+    # assumes entries below p: 1 + 3*2^61 makes enc @ x wrap around.  The
+    # corrupted copies are int64 matrices, which can hold such an entry.
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
-    encoders = [e.copy() for e in code.encoders]
-    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    encoders = [e.astype(np.int64) for e in code.encoders]
+    decoders = {t: Decoder(d.inputs, d.matrix.astype(np.int64)) for t, d in code.decoders.items()}
     mat = encoders[0] if target == "encoder e1" else decoders["t_B1"].matrix
     mat[0][mat[0] == entry % 3] = entry
     bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
@@ -510,9 +511,9 @@ def test_simulation_memory_is_bounded_by_the_block():
 
 
 def test_exact_memory_is_bounded_by_one_terminal():
-    # The sts-19 code's encoders alone hold 15.9 MiB; verify_exact composes
-    # one terminal at a time, so neither a dense bundle map nor the whole
-    # code's products are ever held at once.
+    # The sts-19 code's int8 encoders alone hold 2.0 MiB (15.9 MiB as int64);
+    # verify_exact composes one terminal at a time, so neither a dense bundle
+    # map nor the whole code's products are ever held at once.
     sts19 = steiner_triple(19)
     code, _ = generate_code(sts19, "bibd", "normal", PrimeField(3))
     net = build_sum_network(orient_matrix(sts19, "normal"))
