@@ -27,7 +27,10 @@ allocate any of them.
 
 Every matrix entry lies in [0, p), so ``verify_exact`` can reduce each
 terminal's composite once: its unreduced sum stays within (p-1)^2 times
-the decoder's width, the quantity the verifiers' int64 limit bounds.
+the decoder's width, the quantity the verifiers' int64 limit bounds.  The
+assembly stores its matrices in the narrowest of int8, int16, int32 and
+int64 that holds p - 1, int8 for the scalar code at any p; ``lift_code``
+keeps the type, and the verifiers read every entry as int64.
 
 ``export_code`` alone defines the code file format: the header, then each
 matrix under its labels, each rendered to text in one vectorised numpy pass
@@ -36,7 +39,8 @@ code it reads, up to blank lines and trailing spaces, and checks the file
 against that export section by section, so it holds one matrix's text at a
 time.  Its entries lie in [0, 2^63 - 1): a code's lie below p <= 2^63 - 25,
 the largest prime below 2^63, and ``np.fromstring`` reads every larger value
-as 2^63 - 1.
+as 2^63 - 1.  It keeps them int64: a narrowing cast could wrap an entry of p
+or more into the field before the verifiers' range refusal sees it.
 """
 
 from __future__ import annotations
@@ -224,10 +228,15 @@ def check_transfer_matrix(
 # the three constructions
 
 
-# The most int64 entries a code's encoders and decoders may hold together:
-# 2 GiB dense.  sts-31 holds 191,615,712 and is built; sts-37 (617,662,682),
-# which died in numpy's allocator under a 4 GB address-space cap, is refused.
+# The most entries a code's encoders and decoders may hold together: 256 MiB
+# to 2 GiB dense, from int8 to int64 entries as p grows.  sts-31 holds
+# 191,615,712 and is built; sts-37 (617,662,682), which died in numpy's
+# allocator under a 4 GB address-space cap as int64, is refused.
 MAX_DENSE_ENTRIES = 1 << 28
+
+# The signed types a built code's matrices may take, narrowest first.  Signed
+# only: numpy turns a uint64 x int64 product into float64.
+_ENTRY_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _require_dense_fits(m: int, n: int, rows: int, cols: int, inputs: Sequence[int]) -> None:
@@ -257,14 +266,17 @@ def _assemble_transfer(
     Cell (ri, cj) of ``d`` is the length of the piece of column col_ids[cj]'s
     message that row row_ids[ri] ferries.  The exclusive cumulative sum of ``d``
     down column cj is the piece's message coordinate; m plus the one across
-    row ri is its slot in that row's bundle.  Only a weighted piece needs
-    -mu mod p below 2^63: an empty block writes entries 0 and 1 alone.
+    row ri is its slot in that row's bundle.  Every matrix takes the narrowest
+    of ``_ENTRY_TYPES`` that holds p - 1, or 1 for an empty block, which
+    writes entries 0 and 1 alone; only a weighted piece needs -mu mod p below 2^63.
     """
     r, c = a.rows, a.cols
     m, n = len(row_ids), len(row_ids) + len(col_ids)
     assert all(mu[j - 1] % p == 0 for j in range(1, c + 1) if j not in col_ids)
     lengths = np.array(d.entries, dtype=np.int64).reshape(d.rows, d.cols)
-    if p >= 1 << 63 and lengths.any():
+    top = p - 1 if lengths.any() else 1
+    dtype = next((t for t in _ENTRY_TYPES if np.iinfo(t).max >= top), None)
+    if dtype is None:
         raise ValueError(
             f"characteristic p={p} is too large for int64 code matrices: "
             "decoder coefficients mod p must stay below 2^63"
@@ -275,18 +287,18 @@ def _assemble_transfer(
     _require_dense_fits(m, n, r, c, [len(ins) for ins in inputs.values()])
     # Partial sums: each bottleneck's first m components add the messages of
     # the sources feeding it, and each decoder adds those of its inputs.
-    encoders = [np.zeros((n, m * (r + c)), dtype=np.int64) for _ in range(r)]
+    encoders = [np.zeros((n, m * (r + c)), dtype=dtype) for _ in range(r)]
     for i, enc in enumerate(encoders, start=1):
         cols = feeding_columns(a, i, m)
         enc[np.arange(len(cols)) % m, cols] = 1
-    block = np.eye(m, n, dtype=np.int64)
+    block = np.eye(m, n, dtype=dtype)
     decoders = {
         t: Decoder(tuple(ins), np.tile(block, len(ins))) for t, ins in inputs.items()
     }
     for ri, cj in zip(*np.nonzero(lengths)):
         i, j = row_ids[ri], col_ids[cj]
         length, start, slot = lengths[ri, cj], starts[ri, cj], slots[ri, cj]
-        piece = np.eye(length, dtype=np.int64)
+        piece = np.eye(length, dtype=dtype)
         off = (r + j - 1) * m + start
         encoders[i - 1][slot : slot + length, off : off + length] = piece
         dec = decoders[col_terminal(j)]
@@ -377,9 +389,9 @@ def build_graph_transpose_code(
 
 
 def _interleave(mat: np.ndarray, row_unit: int, col_unit: int, alpha: int) -> np.ndarray:
-    """Block-diagonal lift: copy l acts on round l of every block."""
+    """Block-diagonal lift, in the input's type: copy l acts on round l of every block."""
     rblocks, cblocks = mat.shape[0] // row_unit, mat.shape[1] // col_unit
-    out = np.zeros((rblocks, alpha, row_unit, cblocks, alpha, col_unit), dtype=np.int64)
+    out = np.zeros((rblocks, alpha, row_unit, cblocks, alpha, col_unit), dtype=mat.dtype)
     rounds = np.arange(alpha)
     # Both round axes take the same index, so round l of a row block meets
     # only round l of a column block; the base blocks broadcast over l.
@@ -424,7 +436,7 @@ _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
 def _render(matrix: np.ndarray) -> bytes:
-    """A matrix's rows as ``" ".join(map(str, row)) + "\\n"`` for any int64 entries.
+    """A matrix's rows as ``" ".join(map(str, row)) + "\\n"`` for any signed integer entries.
 
     Every entry starts as the text "0" and its separator, a newline at the
     end of a row.  A nonzero entry is widened by its sign and its digits

@@ -4,7 +4,9 @@ Both verifiers, ``verify_exact`` and ``verify_random``, admit a code
 through one gate, ``_check``, which refuses it with a ``ValueError`` naming
 the first fault found.  It is also the only place that reads a code's
 matrices: it reads each one whole, once, as its list of nonzero terms, so
-every nonzero entry is a term, and both verifiers work on those lists.
+every nonzero entry is a term, and both verifiers work on those lists.  A
+term's coefficient is read as int64 whatever signed type the matrix is
+stored in, so the int64 limit below holds for a code of any entry type.
 The codes are almost all zero, so a list is short.  The stacked bundle map
 lists, for every row of the bottlenecks e1..er and then of one direct
 bundle per source, each alpha*n rows, the message coordinates it reads and
@@ -116,10 +118,11 @@ class VerifyReport:
 
 
 def _entries(mat: np.ndarray):
-    """The row, column and value of each nonzero entry, row-major.  A flat
-    scan of a boolean mask is several times faster than a 2-D np.nonzero."""
+    """The row, column and value of each nonzero entry, row-major, the value
+    as int64 whatever the matrix's signed type.  A flat scan of a boolean
+    mask is several times faster than a 2-D np.nonzero."""
     flat = np.flatnonzero(mat != 0)
-    return *np.divmod(flat, mat.shape[1]), np.take(mat, flat)
+    return *np.divmod(flat, mat.shape[1]), np.take(mat, flat).astype(np.int64)
 
 
 def _check(net: SumNetwork, code: NetworkCode):

@@ -28,7 +28,9 @@ from sumnet.incidence import (
     steiner_triple,
 )
 from sumnet.instances import get_instance
-from sumnet.report import generate_code
+from sumnet.network import build_sum_network
+from sumnet.report import generate_code, orient_matrix
+from sumnet.verify import verify_exact, verify_random
 
 STRUCTURES = {
     "k2": (lambda: get_instance("k2").build(), "graph"),
@@ -117,6 +119,46 @@ def ladder_code(name, orientation, char, alpha):
 def test_export_bytes_are_pinned(key):
     text = export_code(ladder_code(*key))
     assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]
+
+
+def as_int64(code):
+    return NetworkCode(
+        code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+        tuple(e.astype(np.int64) for e in code.encoders),
+        {t: Decoder(d.inputs, d.matrix.astype(np.int64)) for t, d in code.decoders.items()},
+    )
+
+
+def with_one_corrupted_entry(code):
+    """The code with its first decoder's entry (0, 0) raised by 1 mod p, in the code's type."""
+    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    mat = decoders[min(decoders)].matrix
+    mat[0, 0] = (int(mat[0, 0]) + 1) % code.p
+    return NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                       code.encoders, decoders)
+
+
+def outcomes(net, code):
+    """Both verifiers' reports, or the message of the refusal each raises."""
+    results = []
+    for check in (lambda: verify_exact(net, code), lambda: verify_random(net, code, 20, 1)):
+        try:
+            results.append(check())
+        except ValueError as exc:
+            results.append(str(exc))
+    return results
+
+
+@pytest.mark.parametrize("key", list(LADDER), ids=lambda k: "-".join(map(str, k)))
+def test_a_code_and_its_int64_cast_export_and_verify_alike(key):
+    name, orientation, char, alpha = key
+    build, _ = STRUCTURES[name]
+    net = build_sum_network(orient_matrix(build(), orientation), alpha=alpha)
+    code = ladder_code(*key)
+    for built in (code, with_one_corrupted_entry(code)):
+        wide = as_int64(built)
+        assert export_code(built) == export_code(wide)
+        assert outcomes(net, built) == outcomes(net, wide)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1

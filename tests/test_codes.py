@@ -3,6 +3,7 @@
 import contextlib
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,7 @@ from sumnet.gf import PrimeField
 from sumnet.incidence import (
     IncidenceStructure,
     all_subsets_design,
+    complete_graph,
     fano,
     from_graph,
     higher_incidence,
@@ -302,6 +304,53 @@ def test_lift_rejects_relift():
         lift_code(lifted, 2)
     with pytest.raises(ValueError):
         lift_code(build_transfer_code(K2.matrix, PrimeField(2)), 0)
+
+
+# ---------------------------------------------------------------------------
+# entry types
+
+
+def entry_types(code):
+    return {e.dtype for e in code.encoders} | {d.matrix.dtype for d in code.decoders.values()}
+
+
+@pytest.mark.parametrize("p,dtype", [
+    (2, np.int8), (3, np.int8), (127, np.int8),
+    (131, np.int16), (32749, np.int16),
+    (32771, np.int32),
+    (2**31 + 11, np.int64),
+])
+def test_code_entries_take_the_narrowest_signed_type_that_holds_p_minus_1(p, dtype):
+    # K2's decoder weights each piece by -1 mod p = p - 1; the lift keeps the type.
+    code = build_transfer_code(K2.matrix, PrimeField(p))
+    assert max(d.matrix.max() for d in code.decoders.values()) == p - 1
+    assert entry_types(code) == entry_types(lift_code(code, 2)) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 131, 32771, 2**31 + 11, 9223372036854775837])
+def test_scalar_code_entries_are_int8_at_any_prime(p):
+    code = build_scalar_code(K2.matrix.transpose(), PrimeField(p))
+    assert entry_types(code) == {np.dtype(np.int8)}
+
+
+def test_graph_transpose_code_near_2_63_is_int64():
+    # K5's vertices have degree 4, so each piece is weighted by -3 mod p = 2^63 - 28.
+    code = build_graph_transpose_code(complete_graph(5), PrimeField(2**63 - 25))
+    assert max(d.matrix.max() for d in code.decoders.values()) == 2**63 - 28
+    assert entry_types(code) == {np.dtype(np.int64)}
+
+
+def test_code_generation_memory_follows_the_entry_type():
+    # The sts-19 code at char 3 holds 8.1M entries: 7.7 MiB as int8, 62 MiB as int64.
+    sts19 = steiner_triple(19)
+    tracemalloc.start()
+    try:
+        code, _ = generate_code(sts19, "bibd", "normal", PrimeField(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entry_types(code) == {np.dtype(np.int8)}
+    assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------
