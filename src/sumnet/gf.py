@@ -178,17 +178,30 @@ def column_masks(m: IntMatrix) -> list[int]:
     return [sum(1 << i for i, x in enumerate(m.col(j)) if x) for j in range(m.cols)]
 
 
+# The most column pairs ``gram`` may visit: about 6 s at the 23M pairs/s that
+# the 2-(18,5,560) design's 102M pairs took on a 2-core box (K200, at 12M
+# pairs/s, visits 7.9M).  The 2-(22,11,167960) design's 2.7e12 are refused.
+MAX_GRAM_PAIRS = 1 << 27
+
+
 def gram(m: IntMatrix) -> Iterator[dict[int, int]]:
     """The nonzero entries of the Gram m^T m of a (0,1)-matrix, one column at a time.
 
     Column j is ``{k: |supp j & supp k|}`` over the columns k that share a
     row with j.  Only those pairs are visited, through each row's list of
-    columns, so the cost is the sum of the squared row sums, not c^2.
+    columns, so the cost is the sum of the squared row sums, not c^2; above
+    MAX_GRAM_PAIRS it raises ``ValueError`` before the first column.
     Pass m^T for the rows.
     """
     if not m.is_zero_one():
         raise ValueError("expected a (0,1)-matrix")
     rows = [list(compress(range(m.cols), m.row(i))) for i in range(m.rows)]
+    pairs = sum(len(row) ** 2 for row in rows)
+    if pairs > MAX_GRAM_PAIRS:
+        raise ValueError(
+            f"the Gram of a {m.rows}x{m.cols} matrix would visit {pairs} column pairs, "
+            f"above the limit of {MAX_GRAM_PAIRS}"
+        )
     for j in range(m.cols):
         yield Counter(chain.from_iterable(compress(rows, m.col(j))))
 

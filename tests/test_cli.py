@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumnet import cli, codes, incidence
+from sumnet import cli, codes, gf, incidence
 from sumnet.bounds import family_bound
 from sumnet.cli import main
 from sumnet.codes import import_code
@@ -268,12 +268,28 @@ def test_bound_refuses_a_structure_too_large_to_hold(capsys, flag, value, v, b):
     assert time.process_time() - start < 1
 
 
+def _refuse_to_validate(*args, **kwargs):
+    raise AssertionError("the base design was validated")
+
+
 def test_bound_refuses_a_higher_structure_too_large_to_hold(capsys, monkeypatch):
     # The 2-(6,3,4) base holds 6 x 20 entries; its subset-vs-block structure,
-    # 15 x 20, is refused before its matrix is built.
+    # 15 x 20, is refused before the base is validated or the matrix built.
     monkeypatch.setattr(incidence, "MAX_INCIDENCE_ENTRIES", 200)
+    monkeypatch.setattr(incidence, "validate_design", _refuse_to_validate)
     assert run(capsys, "bound", "--char", "3", "--higher", "2-6-3-4") == (
         1, "", _too_large(15, 20, 200))
+
+
+def test_code_refuses_a_gram_too_costly_to_visit(capsys):
+    # All 5-subsets of 19 points: each of the 19 rows meets C(18,4) = 3,060
+    # columns, so the Gram would visit 19 * 3060^2 column pairs.
+    start = time.process_time()
+    assert run(capsys, "code", "--char", "3", "--design", "2-19-5-680") == (1, "", (
+        "error: the Gram of a 19x11628 matrix would visit 177908400 column pairs, "
+        f"above the limit of {gf.MAX_GRAM_PAIRS}\n"
+    ))
+    assert time.process_time() - start < 5
 
 
 def test_bound_refuses_a_long_order_quickly(capsys):

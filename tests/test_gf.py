@@ -17,7 +17,8 @@ from conftest import (
     to_lists,
 )
 from sumnet.bounds import bound_matrix
-from sumnet.gf import IntMatrix, PrimeField, is_prime
+from sumnet import gf
+from sumnet.gf import IntMatrix, PrimeField, gram, is_prime
 
 
 def det_oracle(m: IntMatrix) -> int:
@@ -199,3 +200,26 @@ def test_det_matches_oracle_and_rank_criterion():
         for p in (2, 3, 5):
             full = rank_mod_p(m, PrimeField(p)) == n
             assert full == (d % p != 0)
+
+
+def ones_row(n: int) -> IntMatrix:
+    return IntMatrix(1, n, (1,) * n)
+
+
+def test_gram_cost_is_the_sum_of_squared_row_sums(monkeypatch):
+    # A 1 x N all-ones matrix visits N^2 column pairs: at the limit it runs,
+    # one above it is refused before the first column.
+    monkeypatch.setattr(gf, "MAX_GRAM_PAIRS", 16)
+    assert [dict(g) for g in gram(ones_row(4))] == [{0: 1, 1: 1, 2: 1, 3: 1}] * 4
+    with pytest.raises(ValueError, match=r"^the Gram of a 1x5 matrix would visit 25 "
+                                         r"column pairs, above the limit of 16$"):
+        next(gram(ones_row(5)))
+
+
+def test_gram_refuses_above_its_limit_at_once():
+    n = math.isqrt(gf.MAX_GRAM_PAIRS) + 1
+    start = time.process_time()
+    with pytest.raises(ValueError, match=f"would visit {n * n} column pairs, "
+                                         f"above the limit of {gf.MAX_GRAM_PAIRS}"):
+        next(gram(ones_row(n)))
+    assert time.process_time() - start < 1
