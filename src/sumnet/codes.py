@@ -267,8 +267,9 @@ def _assemble_transfer(
     message that row row_ids[ri] ferries.  The exclusive cumulative sum of ``d``
     down column cj is the piece's message coordinate; m plus the one across
     row ri is its slot in that row's bundle.  Every matrix takes the narrowest
-    of ``_ENTRY_TYPES`` that holds p - 1, or 1 for an empty block, which
-    writes entries 0 and 1 alone; only a weighted piece needs -mu mod p below 2^63.
+    of ``_ENTRY_TYPES`` that holds the largest entry it may get: p - 1 for a
+    weighted piece's -mu mod p, and 1 for an empty block, which writes
+    entries 0 and 1 alone.
     """
     r, c = a.rows, a.cols
     m, n = len(row_ids), len(row_ids) + len(col_ids)

@@ -334,7 +334,7 @@ def higher_incidence(struct: IncidenceStructure) -> IncidenceStructure:
     t = k - 1
     if t < 1:
         raise ValueError("block size must be at least 2")
-    # The result's size is known before the base design is validated.
+    # The result's size is known before validate_design scans the base's blocks.
     _require_matrix_fits(math.comb(struct.num_points, t), struct.num_blocks)
     params = validate_design(struct, t)
     if params is None:

@@ -10,6 +10,7 @@ entries.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,20 +123,19 @@ def test_export_bytes_are_pinned(key):
 
 
 def as_int64(code):
-    return NetworkCode(
-        code.m, code.n, code.p, code.alpha, code.rows, code.cols,
-        tuple(e.astype(np.int64) for e in code.encoders),
-        {t: Decoder(d.inputs, d.matrix.astype(np.int64)) for t, d in code.decoders.items()},
+    return replace(
+        code,
+        encoders=tuple(e.astype(np.int64) for e in code.encoders),
+        decoders={t: replace(d, matrix=d.matrix.astype(np.int64)) for t, d in code.decoders.items()},
     )
 
 
 def with_one_corrupted_entry(code):
     """The code with its first decoder's entry (0, 0) raised by 1 mod p, in the code's type."""
-    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    decoders = {t: replace(d, matrix=d.matrix.copy()) for t, d in code.decoders.items()}
     mat = decoders[min(decoders)].matrix
     mat[0, 0] = (int(mat[0, 0]) + 1) % code.p
-    return NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
-                       code.encoders, decoders)
+    return replace(code, decoders=decoders)
 
 
 def outcomes(net, code):
