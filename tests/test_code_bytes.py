@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import reference_export
-from sumnet.codes import Decoder, NetworkCode, export_code, lift_code
+from sumnet.codes import Decoder, NetworkCode, export_code, import_code, lift_code
 from sumnet.gf import PrimeField
 from sumnet.incidence import (
     all_subsets_design,
@@ -156,9 +156,9 @@ def test_a_code_and_its_int64_cast_export_and_verify_alike(key):
     net = build_sum_network(orient_matrix(build(), orientation), alpha=alpha)
     code = ladder_code(*key)
     for built in (code, with_one_corrupted_entry(code)):
-        wide = as_int64(built)
-        assert export_code(built) == export_code(wide)
-        assert outcomes(net, built) == outcomes(net, wide)
+        wide, read = as_int64(built), import_code(export_code(built))
+        assert export_code(built) == export_code(wide) == export_code(read)
+        assert outcomes(net, built) == outcomes(net, wide) == outcomes(net, read)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
