@@ -234,9 +234,14 @@ def check_transfer_matrix(
 # allocator under a 4 GB address-space cap as int64, is refused.
 MAX_DENSE_ENTRIES = 1 << 28
 
-# The signed types a built code's matrices may take, narrowest first.  Signed
-# only: numpy turns a uint64 x int64 product into float64.
+# The signed types a code's matrices may take, narrowest first.  Signed only:
+# numpy turns a uint64 x int64 product into float64.
 _ENTRY_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _entry_type(top: int):
+    """The first of ``_ENTRY_TYPES`` whose maximum is at least ``top``, or None."""
+    return next((t for t in _ENTRY_TYPES if np.iinfo(t).max >= top), None)
 
 
 def _require_dense_fits(m: int, n: int, rows: int, cols: int, inputs: Sequence[int]) -> None:
@@ -276,7 +281,7 @@ def _assemble_transfer(
     assert all(mu[j - 1] % p == 0 for j in range(1, c + 1) if j not in col_ids)
     lengths = np.array(d.entries, dtype=np.int64).reshape(d.rows, d.cols)
     top = p - 1 if lengths.any() else 1
-    dtype = next((t for t in _ENTRY_TYPES if np.iinfo(t).max >= top), None)
+    dtype = _entry_type(top)
     if dtype is None:
         raise ValueError(
             f"characteristic p={p} is too large for int64 code matrices: "
@@ -494,15 +499,18 @@ _ENTRIES = re.compile(" *[0-9][0-9 ]*")  # ASCII digits and spaces, one digit at
 
 
 def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np.ndarray:
-    """A code matrix; only rows of decimal digits and spaces reach numpy."""
+    """A code matrix in the narrowest of ``_ENTRY_TYPES`` that holds its largest
+    entry, which no entry can then wrap; only rows of decimal digits and spaces
+    reach numpy."""
     block = " ".join(lines)
     digits = _ENTRIES.fullmatch(block)
     entries = np.fromstring(block, dtype=np.int64, sep=" ") if digits else None
-    if entries is None or entries.max() >= (1 << 63) - 1:
+    top = int(entries.max()) if entries is not None else None
+    if top is None or top >= (1 << 63) - 1:
         raise ValueError(f"{name} has an entry outside the decimal integers in [0, 2^63 - 1)")
     if entries.size != shape[0] * shape[1]:
         raise ValueError(f"{name} has {entries.size} entries, want {shape[0]} x {shape[1]}")
-    return entries.reshape(shape)
+    return entries.astype(_entry_type(top), copy=False).reshape(shape)
 
 
 def _first_difference(lines: Sequence[str], code: NetworkCode) -> Optional[int]:

@@ -217,12 +217,13 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     (rows, coords, coefs), decoders = _check(net, code)
     p, m, dim = code.p, code.m, code.m * (net.r + net.c)
     target = np.tile(np.eye(m, dtype=np.int64), net.r + net.c)
+    # Stacked row s's terms are rows[heads[s]:heads[s + 1]], as rows is sorted.
+    heads = np.searchsorted(rows, np.arange((2 * net.r + net.c) * code.alpha * code.n + 1))
     failures = []
     for terminal, (out, reads, coef) in decoders:
-        # Join every decoder term with each term of the stacked row it reads:
-        # that row's terms are rows[first:first + count], as rows is sorted.
-        first = np.searchsorted(rows, reads)
-        counts = np.searchsorted(rows, reads, side="right") - first
+        # Join every decoder term with each term of the stacked row it reads.
+        first = heads[reads]
+        counts = heads[reads + 1] - first
         join = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         products = np.repeat(coef, counts) * coefs[join]
         composite = np.zeros_like(target)

@@ -4,6 +4,7 @@ import contextlib
 import random
 import signal
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -394,7 +395,7 @@ def test_import_code_refuses_a_bad_header(line, replacement, expected):
         import_code(good.replace(f"\n{line}\n", f"\n{replacement}\n"))
 
 
-@pytest.mark.parametrize("entry", [2**64, -1, 2**63 - 1, "\u0661", "\u00b2"])
+@pytest.mark.parametrize("entry", [2**64, -1, 2**63 - 1, 2**63, "\u0661", "\u00b2"])
 def test_import_code_refuses_entries_an_int64_matrix_cannot_hold(entry):
     lines = export_code(build_transfer_code(K2.matrix, PrimeField(2))).splitlines()
     row = lines.index("encoder e1") + 1
@@ -410,6 +411,48 @@ def test_import_code_reads_an_entry_of_p_or_more_exactly_so_the_verifiers_refuse
     assert code.encoders[0][0, 0] == 257
     with pytest.raises(ValueError, match=r"^encoder e1 has an entry outside \[0, 3\)$"):
         verify_exact(build_sum_network(K2.matrix), code)
+
+
+@pytest.mark.parametrize("entry,dtype", [
+    (1, np.int8), (127, np.int8),
+    (128, np.int16), (32767, np.int16),
+    (32768, np.int32), (2**31 - 1, np.int32),
+    (2**31, np.int64), (2**63 - 2, np.int64),
+])
+def test_import_code_reads_each_matrix_into_the_narrowest_type_that_holds_its_entries(
+    entry, dtype
+):
+    text = export_code(build_transfer_code(K2.matrix, PrimeField(2)))
+    code = import_code(text.replace("encoder e1\n1 ", f"encoder e1\n{entry} "))
+    assert code.encoders[0][0, 0] == entry and code.encoders[0].dtype == dtype
+    assert entry_types(replace(code, encoders=code.encoders[1:])) == {np.dtype(np.int8)}
+
+
+def test_import_code_types_each_matrix_of_a_code_on_its_own():
+    # Built all int16 at p = 131; only t_B1's decoder holds -1 mod p = 130.
+    code = build_transfer_code(K2.matrix, PrimeField(131))
+    text = export_code(code)
+    back = import_code(text)
+    assert entry_types(code) == {np.dtype(np.int16)}
+    assert {e.dtype for e in back.encoders} == {np.dtype(np.int8)}
+    assert {t: d.matrix.dtype for t, d in back.decoders.items()} == {
+        "t_B1": np.int16, "t_p1": np.int8, "t_p2": np.int8,
+    }
+    assert codes_equal(back, code) and export_code(back) == text
+    assert verify_exact(build_sum_network(K2.matrix), back).ok
+
+
+def test_import_memory_follows_each_matrix_entry_type():
+    # The sts-19 char-3 export is 15.5 MiB of text; as int64 its code alone holds 62 MiB.
+    text = export_code(generate_code(steiner_triple(19), "bibd", "normal", PrimeField(3))[0])
+    tracemalloc.start()
+    try:
+        code = import_code(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entry_types(code) == {np.dtype(np.int8)}
+    assert peak < 32 * 2**20
 
 
 def test_import_code_refuses_an_empty_matrix():
