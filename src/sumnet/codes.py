@@ -39,8 +39,10 @@ code it reads, up to blank lines and trailing spaces, and checks the file
 against that export section by section, so it holds one matrix's text at a
 time.  Its entries lie in [0, 2^63 - 1): a code's lie below p <= 2^63 - 25,
 the largest prime below 2^63, and ``np.fromstring`` reads every larger value
-as 2^63 - 1.  It keeps them int64: a narrowing cast could wrap an entry of p
-or more into the field before the verifiers' range refusal sees it.
+as 2^63 - 1.  Each matrix is stored in the narrowest of int8, int16, int32 and
+int64 that holds its own largest entry, so an imported code may mix types.
+The type follows the entry, not p: no entry wraps, and one of p or more
+keeps its value and reaches the verifiers' range refusal.
 """
 
 from __future__ import annotations
@@ -499,9 +501,8 @@ _ENTRIES = re.compile(" *[0-9][0-9 ]*")  # ASCII digits and spaces, one digit at
 
 
 def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np.ndarray:
-    """A code matrix in the narrowest of ``_ENTRY_TYPES`` that holds its largest
-    entry, which no entry can then wrap; only rows of decimal digits and spaces
-    reach numpy."""
+    """A code matrix, in the narrowest of ``_ENTRY_TYPES`` that holds its largest
+    entry so that none wraps; only rows of decimal digits and spaces reach numpy."""
     block = " ".join(lines)
     digits = _ENTRIES.fullmatch(block)
     entries = np.fromstring(block, dtype=np.int64, sep=" ") if digits else None
