@@ -186,6 +186,25 @@ def test_code_no_construction_exit_status(capsys):
     assert "not diagonal" in err
 
 
+
+# A 9-vertex graph on 19 edges whose transposed network has no code at chars 3 and 7.
+G9_EDGES = "1-3 1-4 1-8 2-4 2-5 2-6 2-8 3-5 3-6 4-5 4-7 4-8 4-9 5-6 5-8 6-7 6-8 6-9 8-9"
+
+
+@pytest.mark.parametrize("char, reason", [
+    ("7", "no nonnegative integral transfer matrix with row sums 9 and column sums 19 "
+          "exists on the support of A; no margin matrix with row sums 9 and column sums 19 "
+          "exists on the B' x P' submatrix"),
+    ("3", "overlap residue has zero diagonal entries mod p; no margin matrix with row sums 8 "
+          "and column sums 19 exists on the B' x P' submatrix"),
+])
+def test_code_graph_transpose_refusals_are_pinned(tmp_path, capsys, char, reason):
+    path = tmp_path / "g9.blocks"
+    edges = [e.replace("-", " ") for e in G9_EDGES.split()]
+    path.write_text("9 19\n" + "\n".join(edges) + "\n")
+    err = f"no construction applies for g9.blocks transpose at char {char}: {reason}\n"
+    assert run(capsys, "code", "--blocks", str(path), "--transpose", "--char", char) == (3, "", err)
+
 def test_code_refuses_a_zero_row_before_building_a_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "zero-row.txt"
     path.write_text("2 1\n1\n0\n")  # its overlap residue vanishes: the scalar case

@@ -10,6 +10,7 @@ entries.
 """
 
 import hashlib
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -19,16 +20,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import reference_export
-from sumnet.codes import Decoder, NetworkCode, export_code, import_code, lift_code
+from sumnet.cli import _detect_family
+from sumnet.codes import Decoder, NetworkCode, NoApplicableCode, export_code, import_code, lift_code
 from sumnet.gf import PrimeField
 from sumnet.incidence import (
+    IncidenceStructure,
     all_subsets_design,
     complete_graph,
+    from_graph,
     higher_incidence,
     star_composite,
     steiner_triple,
 )
-from sumnet.instances import get_instance
+from sumnet.instances import INSTANCES, get_instance
 from sumnet.network import build_sum_network
 from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import verify_exact, verify_random
@@ -110,6 +114,10 @@ LADDER = {
 }
 
 
+# SHA-256 of the outcome lines of test_generate_code_outcomes_are_pinned.
+OUTCOME_DIGEST = "1213e0be01eb290c5a246d16e80228917e028389b75b37076bad704ceb11f991"
+
+
 def ladder_code(name, orientation, char, alpha):
     build, family = STRUCTURES[name]
     code, _ = generate_code(build(), family, orientation, PrimeField(char))
@@ -120,6 +128,62 @@ def ladder_code(name, orientation, char, alpha):
 def test_export_bytes_are_pinned(key):
     text = export_code(ladder_code(*key))
     assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]
+
+
+def random_graph(rng):
+    """A seeded random simple graph on 2 to 8 vertices with no isolated vertex."""
+    while True:
+        v = rng.randint(2, 8)
+        edges = [(i, j) for i in range(1, v + 1) for j in range(i + 1, v + 1) if rng.random() < 0.5]
+        if {x for e in edges for x in e} == set(range(1, v + 1)):
+            return from_graph(v, edges)
+
+
+def random_structure(rng):
+    """A seeded random simple structure on 1 to 6 points, every point in some block."""
+    while True:
+        v, b = rng.randint(1, 6), rng.randint(1, 8)
+        blocks = {tuple(sorted(rng.sample(range(1, v + 1), rng.randint(1, v)))) for _ in range(b)}
+        if {x for blk in blocks for x in blk} == set(range(1, v + 1)):
+            return IncidenceStructure(v, tuple(sorted(blocks)))
+
+
+def outcome_structures():
+    """(label, structure, family) for every structure the outcome digest covers."""
+    out = [(name, inst.build(), inst.family) for name, inst in INSTANCES.items()]
+    out += [(f"K{n}", complete_graph(n), "graph") for n in range(3, 9)]
+    out += [(f"sts-{v}", steiner_triple(v), "bibd") for v in (7, 9)]
+    out += [(f"all-{v}-{k}", all_subsets_design(v, k), "tdesign")
+            for v, k in ((4, 3), (5, 2), (5, 3), (6, 3))]
+    out.append(("higher-2-(4,3,2)", higher_incidence(all_subsets_design(4, 3)), "higher"))
+    rng = random.Random(26)
+    out += [(f"graph-{i}", random_graph(rng), "graph") for i in range(150)]
+    for i in range(150):
+        struct = random_structure(rng)
+        out.append((f"struct-{i}", struct, _detect_family(struct)))
+    return out
+
+
+def outcome_line(struct, family, orientation, char):
+    """``generate_code``'s construction and export digest, or the text of its refusal."""
+    try:
+        code, via = generate_code(struct, family, orientation, PrimeField(char))
+    except (NoApplicableCode, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{via} {hashlib.sha256(export_code(code).encode()).hexdigest()}"
+
+
+def test_generate_code_outcomes_are_pinned():
+    # One line per (structure, orientation, char): which construction built
+    # the code and its exported bytes, or the refusal and its text.
+    lines = [
+        f"{label} {family} {orientation} {char}: {outcome_line(struct, family, orientation, char)}"
+        for label, struct, family in outcome_structures()
+        for orientation in ("normal", "transpose")
+        for char in (2, 3, 5, 7)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == OUTCOME_DIGEST
 
 
 def as_int64(code):
