@@ -1,24 +1,25 @@
 """Linear network codes for constructed sum-networks.
 
-Three constructions are implemented, each returning explicit encoder and
-decoder matrices over GF(p):
+One construction builds every code, as explicit encoder and decoder
+matrices over GF(p).  ``build_transfer_code`` applies when the overlap
+residue, A^T A minus its support indicator, is diagonal mod p.  P' collects
+the columns whose diagonal residue is nonzero and B' the rows that meet
+them.  Each bottleneck carries the partial sum of its incident messages in
+its first |B'| symbols; those of B' ferry uncoded pieces of the P' messages
+in the remaining |P'|, allocated by a nonnegative integral margin matrix on
+B' x P' with row sums |P'| and column sums |B'|.  Exclusive cumulative sums
+of that matrix lay the pieces out: down a column they give a piece's
+message coordinate, across a row its slot.  Three cases have names:
 
-* ``build_transfer_code`` -- the (r, r+c) vector code.  Each bottleneck
-  carries the partial sum of its incident messages in its first r symbols
-  and ferries uncoded pieces of the column messages in the remaining c,
-  allocated by a nonnegative integral *transfer matrix* supported on A
-  with row sums c and column sums r.  Applies when A^T A minus its
-  support indicator is diagonal mod p with no zero diagonal entry.
-  Exclusive cumulative sums of that matrix lay the pieces out: down a
-  column they give a piece's message coordinate, across a row its slot.
-* ``build_scalar_code`` -- the (1, 1) code, applicable when A^T A is
-  congruent to its support indicator mod p: the transfer assembly on a
-  block of one row and no columns, so partial sums alone.
-* ``build_graph_transpose_code`` -- the (b', b'+v') code for the
-  transposed network of an irregular graph, where P' collects vertices
-  with degree not congruent to 1 and B' the edges meeting them.  It is
-  the transfer construction restricted to the B' x P' block: only the
-  bottlenecks of B' ferry pieces, and only of the P' messages.
+* transfer -- P' is every column: the (r, r+c) code, whose margin matrix
+  is a *transfer matrix* on the support of A;
+* scalar -- P' is empty: the (1, 1) code, partial sums alone on a block
+  of one row and no columns;
+* graph-transpose -- the transposed network of a graph: the (b', b'+v')
+  code, P' being the vertices of degree not congruent to 1 mod p.
+
+``build_scalar_code`` and ``build_graph_transpose_code`` check their
+case's condition, then call ``build_transfer_code``.
 
 ``lift_code`` spreads a base code over alpha parallel edges per link,
 multiplying the rate by alpha.  Both the assembly and the lift refuse a
@@ -140,9 +141,8 @@ class OverlapResidue:
     """A^T A minus its support indicator, reduced mod p.
 
     ``is_diagonal`` reports whether all off-diagonal residues vanish;
-    ``diagonal`` holds the diagonal residues.  The transfer code needs a
-    diagonal residue with every diagonal entry nonzero; the scalar code
-    needs the residue to vanish entirely.
+    ``diagonal`` holds the diagonal residues.  The code needs a diagonal
+    residue, and builds on the columns whose diagonal entry is nonzero.
     """
 
     char: int
@@ -227,7 +227,7 @@ def check_transfer_matrix(
 
 
 # ---------------------------------------------------------------------------
-# the three constructions
+# the construction
 
 
 # The most entries a code's encoders and decoders may hold together: 256 MiB
@@ -316,14 +316,13 @@ def _assemble_transfer(
 
 
 def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
-    """The (r, r+c) partial-sum + piecewise-transfer code.
+    """The partial-sum + transfer code on B' x P', as the module docstring describes.
 
     Raises ``NoApplicableCode`` naming the failed condition: either the
-    overlap residue is not diagonal with nonzero diagonal mod p, or no
-    transfer matrix exists on the support of A.
+    overlap residue is not diagonal mod p, or no margin matrix exists on
+    B' x P', a transfer matrix on the support of A when P' is every column.
     """
     require_nonzero_lines(a)
-    r, c = a.rows, a.cols
     p = field.p
     residue = overlap_residue(a, field)
     if not residue.is_diagonal:
@@ -331,33 +330,35 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
             "encoder coefficient condition failed: overlap residue has a "
             f"nonzero off-diagonal entry mod {p}"
         )
-    if not residue.all_nonzero():
-        zeros = [j + 1 for j, x in enumerate(residue.diagonal) if x == 0]
-        raise NoApplicableCode(
-            "encoder coefficient condition failed: zero diagonal residue mod "
-            f"{p} at column(s) {zeros}"
-        )
-    d = find_transfer_matrix(a)
-    if d is None:
+    cols = [j for j, x in enumerate(residue.diagonal) if x]  # P', 0-based
+    rows = [i for i in range(a.rows) if any(a.row(i)[j] for j in cols)] or [0]  # B'
+    full = len(cols) == a.cols
+    sub = a if full else a.submatrix(rows, cols)
+    d = find_margin_matrix(sub, len(cols), len(rows))
+    if d is None and full:
         raise NoApplicableCode(
             "no nonnegative integral transfer matrix with row sums "
-            f"{c} and column sums {r} exists on the support of A"
+            f"{a.cols} and column sums {a.rows} exists on the support of A"
         )
-    check_transfer_matrix(d, a)
-    return _assemble_transfer(a, p, range(1, r + 1), range(1, c + 1), d, residue.diagonal)
+    if d is None:
+        raise NoApplicableCode(
+            f"no margin matrix with row sums {len(cols)} and column sums {len(rows)} "
+            "exists on the B' x P' submatrix"
+        )
+    check_transfer_matrix(d, sub, row_total=len(cols), col_total=len(rows))
+    row_ids, col_ids = [i + 1 for i in rows], [j + 1 for j in cols]
+    return _assemble_transfer(a, p, row_ids, col_ids, d, residue.diagonal)
 
 
 def build_scalar_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     """The rate-1 scalar code, applicable when the overlap residue vanishes."""
     require_nonzero_lines(a)
-    residue = overlap_residue(a, field)
-    if not residue.is_zero():
+    if not overlap_residue(a, field).is_zero():
         raise NoApplicableCode(
             "scalar code condition failed: A^T A is not congruent to its "
             f"support indicator mod {field.p}"
         )
-    # The transfer assembly on a block of one row and no columns: partial sums alone.
-    return _assemble_transfer(a, field.p, (1,), (), IntMatrix(1, 0, ()), residue.diagonal)
+    return build_transfer_code(a, field)
 
 
 def build_graph_transpose_code(
@@ -365,31 +366,16 @@ def build_graph_transpose_code(
 ) -> NetworkCode:
     """The (b', b'+v') code for the transposed network of a graph.
 
-    This is the transfer construction on the B' x P' block.  Bottlenecks
-    correspond to edges of the graph; every bottleneck carries the partial
-    sum of its edge message and endpoint messages, and the bottlenecks of
-    B' additionally ferry the messages of the P' vertices in pieces
-    allocated by a margin matrix on the B' x P' submatrix.
+    Vertex j's overlap residue is deg(j) - 1, so P' collects the vertices
+    of degree not congruent to 1 mod p and B' the edges meeting them, and
+    this is ``build_transfer_code`` on the graph's transpose.
     """
-    p = field.p
-    p_prime, b_prime = graph_transpose_sets(graph, field)
+    p_prime, _ = graph_transpose_sets(graph, field)
     if not p_prime:
         raise NoApplicableCode(
-            f"every vertex degree is 1 mod {p}: the scalar code applies instead"
+            f"every vertex degree is 1 mod {field.p}: the scalar code applies instead"
         )
-    a = graph.matrix.transpose()  # rows = edges (blocks), cols = vertices
-    vprime, bprime = len(p_prime), len(b_prime)
-    sub = a.submatrix([i - 1 for i in b_prime], [j - 1 for j in p_prime])
-    d = find_margin_matrix(sub, vprime, bprime)
-    if d is None:
-        raise NoApplicableCode(
-            f"no margin matrix with row sums {vprime} and column sums {bprime} "
-            "exists on the B' x P' submatrix"
-        )
-    check_transfer_matrix(d, sub, row_total=vprime, col_total=bprime)
-    # Vertex j's message sits deg(j) - 1 extra times in its partial sums.
-    mu = [graph.point_degree(v) - 1 for v in range(1, graph.num_points + 1)]
-    return _assemble_transfer(a, p, b_prime, p_prime, d, mu)
+    return build_transfer_code(graph.matrix.transpose(), field)
 
 
 # ---------------------------------------------------------------------------

@@ -94,35 +94,31 @@ def best_bound(results: Sequence[bounds_mod.BoundResult]) -> bounds_mod.BoundRes
 def generate_code(
     struct: IncidenceStructure, family: str, orientation: str, field: PrimeField
 ) -> tuple[NetworkCode, str]:
-    """Build the applicable code: transfer, scalar, or graph-transpose.
-
-    The transfer and scalar conditions split on whether the diagonal
-    overlap residue is nonzero or zero, so at most one of them applies;
-    the graph-transpose construction covers irregular graphs where
-    neither does.  Raises ``NoApplicableCode`` naming what failed, and
-    ``ValueError`` for a matrix with an all-zero row or column.
+    """Build the code on B' x P', P' being the columns whose overlap residue is
+    nonzero mod p, and name it by the residue: transfer when P' is every
+    column, scalar when it is empty, graph-transpose otherwise, which only a
+    graph's transposed network is built for.  Raises ``NoApplicableCode``
+    naming what failed, and ``ValueError`` for a matrix with an all-zero row
+    or column.
     """
     a = orient_matrix(struct, orientation)
     require_nonzero_lines(a)
     residue = codes_mod.overlap_residue(a, field)
-    reasons = []
-    if residue.all_nonzero():
-        try:
-            return codes_mod.build_transfer_code(a, field), "transfer"
-        except NoApplicableCode as exc:
-            reasons.append(str(exc))
-    elif residue.is_zero():
-        return codes_mod.build_scalar_code(a, field), "scalar"
-    else:
-        if residue.is_diagonal:
-            reasons.append("overlap residue has zero diagonal entries mod p")
-        else:
-            reasons.append("overlap residue is not diagonal mod p")
-    if family == "graph" and orientation == "transpose":
-        try:
-            return codes_mod.build_graph_transpose_code(struct, field), "graph-transpose"
-        except NoApplicableCode as exc:
-            reasons.append(str(exc))
+    if not residue.is_diagonal:
+        raise NoApplicableCode("overlap residue is not diagonal mod p")
+    graph_transpose = family == "graph" and orientation == "transpose"
+    mixed = not (residue.all_nonzero() or residue.is_zero())
+    reasons = ["overlap residue has zero diagonal entries mod p"] if mixed else []
+    if mixed and not graph_transpose:
+        raise NoApplicableCode(reasons[0])
+    via = "graph-transpose" if mixed else "transfer" if residue.all_nonzero() else "scalar"
+    try:
+        return codes_mod.build_transfer_code(a, field), via
+    except NoApplicableCode as exc:
+        reasons.append(str(exc))
+    if graph_transpose and not mixed:  # P' is every column: the graph-transpose clause repeats it
+        reasons.append(f"no margin matrix with row sums {a.cols} and column sums {a.rows} "
+                       "exists on the B' x P' submatrix")
     raise NoApplicableCode("; ".join(reasons))
 
 

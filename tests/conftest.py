@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
-from itertools import islice, product
+from fractions import Fraction
+from itertools import combinations, islice, product
 from typing import Callable
 
 import numpy as np
 
+from sumnet.bounds import bound_matrix
 from sumnet.codes import Decoder, NetworkCode
 from sumnet.gf import IntMatrix, PrimeField, column_masks
 from sumnet.network import bottleneck_sources
@@ -289,6 +291,25 @@ def rank_mod_p(m: IntMatrix, field: PrimeField) -> int:
         if rank == m.rows:
             break
     return rank
+
+
+def closure_rows(a, subset):
+    """Bound-matrix rows r+j (1-based) of the columns whose support lies inside subset."""
+    return tuple(a.rows + j + 1 for j in range(a.cols)
+                 if all(i + 1 in subset for i in range(a.rows) if a.at(i, j)))
+
+
+def brute_force_subset_terms(a, field, max_size):
+    """Every (|S|/x_S, |S|, S, closure, x_S) with |S| <= max_size, x_S from the bound matrix."""
+    block = bound_matrix(a)
+    terms = []
+    for size in range(1, min(max_size, a.rows) + 1):
+        for subset in combinations(range(1, a.rows + 1), size):
+            closure = closure_rows(a, subset)
+            picked = [i - 1 for i in subset + closure]
+            x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
+            terms.append((Fraction(size, x_s), size, subset, closure, x_s))
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import (
     FANO_MATRIX,
     FIG3_TRANSPOSE_BOUND_MATRIX,
+    brute_force_subset_terms,
+    closure_rows,
     mat,
     random_01_matrix,
     rank_mod_p,
@@ -371,12 +373,6 @@ def zero_one_matrices(draw, max_rows=8, max_cols=6):
     return IntMatrix.from_rows(rows)
 
 
-def _closure_rows(a, subset):
-    """Bound-matrix rows r+j (1-based) of the columns whose support lies inside subset."""
-    return tuple(a.rows + j + 1 for j in range(a.cols)
-                 if all(i + 1 in subset for i in range(a.rows) if a.at(i, j)))
-
-
 @settings(max_examples=80, deadline=None)
 @given(a=zero_one_matrices(), char=st.sampled_from([2, 3, 5]))
 def test_limited_search_at_full_size_equals_exact_search(a, char):
@@ -392,7 +388,7 @@ def test_limited_search_at_full_size_equals_exact_search(a, char):
     terms = []
     for size in range(1, a.rows + 1):
         for subset in combinations(range(1, a.rows + 1), size):
-            picked = [i - 1 for i in subset + _closure_rows(a, subset)]
+            picked = [i - 1 for i in subset + closure_rows(a, subset)]
             x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
             terms.append((Fraction(size, x_s), size, subset))
     best, _, subset = min(terms)
@@ -431,25 +427,12 @@ def test_overlap_facts_match_the_integer_gram(a, char):
     assert rank_bound(a, PrimeField(char)).rank_defect == rank_mod_p(mat(diff), PrimeField(char))
 
 
-def _brute_force_terms(a, field, max_size):
-    """Every (|S|/x_S, |S|, S, closure, x_S) with |S| <= max_size, x_S from the bound matrix."""
-    block = bound_matrix(a)
-    terms = []
-    for size in range(1, min(max_size, a.rows) + 1):
-        for subset in combinations(range(1, a.rows + 1), size):
-            closure = _closure_rows(a, subset)
-            picked = [i - 1 for i in subset + closure]
-            x_s = rank_mod_p(block.submatrix(picked, range(block.cols)), field)
-            terms.append((Fraction(size, x_s), size, subset, closure, x_s))
-    return terms
-
-
 @settings(max_examples=60, deadline=None)
 @given(a=zero_one_matrices(max_rows=9, max_cols=11), char=st.sampled_from([2, 3, 5, 7]))
 def test_subset_search_matches_brute_force_at_every_size_limit(a, char):
     # Zero rows and zero columns are drawn too: a zero column lies in every closure.
     field = PrimeField(char)
-    terms = _brute_force_terms(a, field, a.rows)
+    terms = brute_force_subset_terms(a, field, a.rows)
     for k in range(1, a.rows + 1):
         value, _, subset, closure, x_s = min(t for t in terms if t[1] <= k)
         got = subset_bound_limited(a, field, k)
@@ -462,6 +445,6 @@ def test_limited_subset_search_on_star_composite_pairs():
     a = star_composite().matrix.transpose()
     for p in (2, 3):
         field = PrimeField(p)
-        value, _, subset, closure, x_s = min(_brute_force_terms(a, field, 2))
+        value, _, subset, closure, x_s = min(brute_force_subset_terms(a, field, 2))
         got = subset_bound_limited(a, field, 2)
         assert (got.bound, got.subset, got.closure, got.x_s) == (value, subset, closure, x_s)

@@ -1,4 +1,4 @@
-"""Code construction: transfer matrices, the three builders, and the lift."""
+"""Code construction: transfer matrices, the one builder and its two wrappers, and the lift."""
 
 import contextlib
 import random
@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,9 +18,11 @@ from conftest import (
     FIG4A_TRANSFER,
     TRIANGLE_PLUS_EDGE,
     TWO_STARS,
+    brute_force_subset_terms,
     codes_equal,
     mat,
     random_01_matrix,
+    rank_mod_p,
     reference_code,
     reference_exhaustive,
     to_lists,
@@ -193,12 +195,75 @@ def test_transfer_code_rates_and_verification():
 
 
 def test_transfer_code_precondition_failures():
-    with pytest.raises(NoApplicableCode, match="zero diagonal"):
-        build_transfer_code(fano().matrix, PrimeField(2))
+    # Fano at char 2 has a zero residue: the builder makes the scalar code there.
+    a, field = fano().matrix, PrimeField(2)
+    assert export_code(build_transfer_code(a, field)) == export_code(build_scalar_code(a, field))
     with pytest.raises(NoApplicableCode, match="off-diagonal"):
         build_transfer_code(all_subsets_design(4, 3).matrix, PrimeField(3))
     with pytest.raises(NoApplicableCode, match="transfer matrix"):
         build_transfer_code(mat(TRIANGLE_PLUS_EDGE), PrimeField(3))
+
+
+@pytest.mark.parametrize("char", [2, 3, 5])
+@pytest.mark.parametrize("graph", [FIG4A, star_composite(), complete_graph(5)],
+                         ids=["fig4a", "star-composite", "K5"])
+def test_each_wrapper_exports_what_build_transfer_code_builds(graph, char):
+    field = PrimeField(char)
+    at = graph.matrix.transpose()
+    built = 0
+    for wrapper, arg, a in ((build_scalar_code, graph.matrix, graph.matrix),
+                            (build_scalar_code, at, at),
+                            (build_graph_transpose_code, graph, at)):
+        try:
+            code = wrapper(arg, field)
+        except NoApplicableCode:
+            continue
+        assert export_code(code) == export_code(build_transfer_code(a, field))
+        built += 1
+    assert built
+
+
+@st.composite
+def mixed_residue_matrices(draw):
+    """A (0,1)-matrix whose columns meet pairwise in at most one row, with a
+    characteristic at which some but not all column sizes are 1 mod p: its
+    overlap residue is diagonal and mixes zero and nonzero entries."""
+    char = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(2, 7))
+    cols = []
+    for col in draw(st.lists(st.frozensets(st.integers(0, r - 1), min_size=2), max_size=8)):
+        if all(len(col & k) <= 1 for k in cols):
+            cols.append(col)
+    cols += [frozenset([i]) for i in range(r) if not any(i in k for k in cols)]
+    assume(len({(len(k) - 1) % char == 0 for k in cols}) == 2)
+    return mat([[int(i in k) for k in cols] for i in range(r)]), char
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_residue_matrices())
+def test_transfer_code_meets_the_bound_where_generate_code_refuses_a_mixed_residue(case):
+    a, char = case
+    field = PrimeField(char)
+    struct = IncidenceStructure(a.rows, tuple(tuple(i + 1 for i in range(a.rows) if a.at(i, j))
+                                              for j in range(a.cols)))
+    with pytest.raises(NoApplicableCode, match="^overlap residue has zero diagonal entries mod p$"):
+        generate_code(struct, "", "normal", field)
+    # P': the columns of size not 1 mod p; B': the rows that meet them.
+    p_prime = [j for j in range(a.cols) if (sum(a.col(j)) - 1) % char]
+    b_prime = [i for i in range(a.rows) if any(a.at(i, j) for j in p_prime)]
+    if not transfer_feasible_bruteforce(a.submatrix(b_prime, p_prime)):
+        with pytest.raises(NoApplicableCode, match="no margin matrix .* on the B' x P' submatrix"):
+            build_transfer_code(a, field)
+        return
+    code = build_transfer_code(a, field)
+    assert (code.m, code.n) == (len(b_prime), len(b_prime) + len(p_prime))
+    assert verify_exact(build_sum_network(a), code).ok
+    # Reference bounds: r/(r + rank of the integer Gram's residue) and the brute-force subset search.
+    rows = np.array(to_lists(a))
+    gram = rows.T @ rows
+    residue = mat((gram - (gram > 0)) % char)
+    rank = Fraction(a.rows, a.rows + rank_mod_p(residue, field))
+    assert code.rate == min(rank, min(brute_force_subset_terms(a, field, a.rows))[0])
 
 
 def test_scalar_code_fano_char2():
