@@ -51,7 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -330,8 +330,10 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
             "encoder coefficient condition failed: overlap residue has a "
             f"nonzero off-diagonal entry mod {p}"
         )
-    cols = [j for j, x in enumerate(residue.diagonal) if x]  # P', 0-based
-    rows = [i for i in range(a.rows) if any(a.row(i)[j] for j in cols)] or [0]  # B'
+    in_p = [x != 0 for x in residue.diagonal]
+    cols = list(compress(range(a.cols), in_p))  # P', 0-based
+    # B', the rows meeting P'; one row, the scalar code's block, when P' is empty.
+    rows = [i for i in range(a.rows) if any(compress(a.row(i), in_p))] or [0]
     full = len(cols) == a.cols
     sub = a if full else a.submatrix(rows, cols)
     d = find_margin_matrix(sub, len(cols), len(rows))

@@ -96,8 +96,8 @@ def generate_code(
 ) -> tuple[NetworkCode, str]:
     """Build the code on B' x P', P' being the columns whose overlap residue is
     nonzero mod p, and name it by the residue: transfer when P' is every
-    column, scalar when it is empty, graph-transpose otherwise, which only a
-    graph's transposed network is built for.  Raises ``NoApplicableCode``
+    column, scalar when it is empty, graph-transpose otherwise, a case built
+    only for a graph's transposed network.  Raises ``NoApplicableCode``
     naming what failed, and ``ValueError`` for a matrix with an all-zero row
     or column.
     """
