@@ -118,6 +118,52 @@ def test_bound_k2_char5(capsys):
     assert "rank 2/3" in out
 
 
+_FLAG_PINS = {
+    "k2": (["--k2"], ["k2 normal char 2:", "  subset 2/3 (S={1,2}, S''={3}, x_S=3)",
+                      "  rank 2/3 (t=1)", "  family graph-normal 2/3"]),
+    "triangle": (["--triangle"], ["triangle normal char 2:",
+                                  "  subset 1/2 (S={1,2,3}, S''={4,5,6}, x_S=6)",
+                                  "  rank 1/2 (t=3)", "  family graph-normal 1/2"]),
+    "fano": (["--fano"], ["fano normal char 2:", "  subset 1 (S={1}, x_S=1)", "  rank 1 (t=0)",
+                          "  family bibd-normal: closed form inapplicable: ch divides k-1 = 2"]),
+    "graph": (["--graph", "fig4a"], ["fig4a normal char 2:",
+                                     "  subset 4/9 (S={1,2,3,4}, S''={5,6,7,8,9}, x_S=9)",
+                                     "  rank 4/9 (t=5)", "  family graph-normal 4/9"]),
+    "graph-alias": (["--graph", "fig6"], [
+        "star-composite normal char 2:",
+        "  subset: exact mode refused: r=33 exceeds the enumeration limit 20",
+        "  rank 33/65 (t=32)", "  family graph-normal 33/65"]),
+    "sts": (["--sts", "7"], ["sts-7 normal char 2:", "  subset 1 (S={1}, x_S=1)", "  rank 1 (t=0)",
+                             "  family bibd-normal: closed form inapplicable: ch divides k-1 = 2"]),
+    "complete": (["--complete", "4"], ["k4 normal char 2:",
+                                       "  subset 2/5 (S={1,2,3,4}, S''={5,6,7,8,9,10}, x_S=10)",
+                                       "  rank 2/5 (t=6)", "  family graph-normal 2/5"]),
+    "higher": (["--higher", "2-4-3-2"], [
+        "higher(2-(4,3,2)) normal char 2:", "  subset 1 (S={1}, x_S=1)", "  rank 1 (t=0)",
+        "  family higher-normal: closed form inapplicable: ch divides t = 2"]),
+    "design": (["--design", "2-4-3-2"], ["2-(4,3,2) normal char 2:",
+                                         "  subset 1/2 (S={1,2,3,4}, S''={5,6,7,8}, x_S=8)",
+                                         "  rank 1/2 (t=4)"]),
+    "file": (["--file", "path.txt"], ["path.txt normal char 2:",
+                                      "  subset 4/7 (S={1,2,3,4}, S''={5,6,7}, x_S=7)",
+                                      "  rank 4/7 (t=3)", "  family graph-normal 4/7"]),
+    "blocks": (["--blocks", "fano.blocks"], [
+        "fano.blocks normal char 2:", "  subset 1 (S={1}, x_S=1)", "  rank 1 (t=0)",
+        "  family bibd-normal: closed form inapplicable: ch divides k-1 = 2"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLAG_PINS))
+def test_bound_instance_flags_are_pinned(tmp_path, capsys, monkeypatch, case):
+    # Every instance flag, and the alias that prints the name it stands for.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path.txt").write_text(render_matrix_text(
+        incidence.from_graph(4, [(1, 2), (2, 3), (3, 4)])))
+    (tmp_path / "fano.blocks").write_text(render_blocks_text(fano()))
+    argv, lines = _FLAG_PINS[case]
+    assert run(capsys, "bound", *argv, "--char", "2") == (0, "\n".join(lines) + "\n", "")
+
+
 def test_bound_subset_refusal_and_limited_mode(capsys):
     status, out, _ = run(capsys, "bound", "--graph", "star-composite", "--transpose",
                          "--char", "2")
