@@ -20,7 +20,6 @@ from .codes import (
     Decoder,
     NetworkCode,
     NoApplicableCode,
-    OverlapResidue,
     build_graph_transpose_code,
     build_scalar_code,
     build_transfer_code,

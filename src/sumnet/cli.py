@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from . import report as report_mod
 from .codes import NoApplicableCode, export_code, lift_code
 from .gf import PrimeField
 from .incidence import IncidenceStructure
-from .instances import ALIASES, INSTANCES, get_instance
+from .instances import ALIASES, INSTANCES
 from .network import build_sum_network, export_graph
 from .report import RowSpec, orient_matrix
 from .verify import verify_exact, verify_random
@@ -34,10 +33,6 @@ from .verify import verify_exact, verify_random
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CODE = 3
-
-
-class CliError(Exception):
-    pass
 
 
 def _parse_chars(text: str) -> list[int]:
@@ -62,15 +57,22 @@ def _parse_design_spec(text: str) -> tuple[IncidenceStructure, str]:
     try:
         t, v, k, lam = (int(x) for x in text.split("-"))
     except ValueError as exc:
-        raise CliError(f"bad design spec {text!r}; expected t-v-k-lam") from exc
+        raise ValueError(f"bad design spec {text!r}; expected t-v-k-lam") from exc
     if t == 2 and k == 3 and lam == 1:
         return incidence.steiner_triple(v), f"2-({v},3,1)"
     if not 1 <= k <= v:
         raise ValueError("need 1 <= k <= v")
     if t < 1:
         raise ValueError("t must be at least 1")
-    if t > k or math.comb(v - t, k - t) != lam:
-        raise CliError(
+    # C(v-t, k-t) is C(v-t, i) at i = min(k-t, v-k), and C(v-t, i) grows with i
+    # up to there: the running product may stop once it passes lam.
+    count = 1
+    for i in range(min(k - t, v - k)):
+        count = count * (v - t - i) // (i + 1)
+        if count > lam:
+            break
+    if t > k or count != lam:
+        raise ValueError(
             f"no built-in construction for a {t}-({v},{k},{lam}) design; "
             "supply a structure file instead"
         )
@@ -86,14 +88,16 @@ def _resolve_source(spec: str) -> tuple[IncidenceStructure, str, str]:
     (its subset-vs-block structure; a bare t-v-k-lam names a design), and
     ``file:PATH`` / ``blocks:PATH``.
     """
-    if spec in INSTANCES or spec in ALIASES:
-        inst = get_instance(spec)
-        return inst.build(), inst.family, inst.name
+    name = ALIASES.get(spec, spec)
+    instance = INSTANCES.get(name)
+    if instance is not None:
+        family, build = instance
+        return build(), family, name
     head, _, arg = spec.partition(":")
     if head == "graph":
         struct, family, label = _resolve_source(arg)
         if family != "graph":
-            raise CliError(f"{arg!r} is not a graph instance")
+            raise ValueError(f"{arg!r} is not a graph instance")
         return struct, family, label
     if head == "sts":
         v = int(arg)
@@ -114,7 +118,7 @@ def _resolve_source(spec: str) -> tuple[IncidenceStructure, str, str]:
         struct = parse(text)
         family = _detect_family(struct)
         return struct, family, Path(arg).name
-    raise CliError(f"cannot resolve structure source {spec!r}")
+    raise ValueError(f"cannot resolve structure source {spec!r}")
 
 
 def _detect_family(struct: IncidenceStructure) -> str:
@@ -126,38 +130,31 @@ def _detect_family(struct: IncidenceStructure) -> str:
     return ""
 
 
+# instance flag -> its argparse keywords.  A flag set to True names an
+# instance; any other flag F set to X is the source spec F:X.
+_INSTANCE_FLAGS = {
+    "k2": dict(action="store_true", default=None, help="single-edge graph"),
+    "triangle": dict(action="store_true", default=None, help="triangle graph"),
+    "fano": dict(action="store_true", default=None, help="Fano plane"),
+    "graph": dict(metavar="NAME",
+                  help="named graph: k2, triangle, fig3, fig4a, star-composite, fig6"),
+    "sts": dict(type=int, metavar="V", help="Steiner triple system on V points"),
+    "complete": dict(type=int, metavar="N", help="complete graph on N vertices"),
+    "higher": dict(metavar="T-V-K-L", help="subset-vs-block structure of a t-(v,k,lam) design"),
+    "design": dict(metavar="T-V-K-L", help="a t-(v,k,lam) design itself"),
+    "file": dict(metavar="PATH", help="incidence matrix file"),
+    "blocks": dict(metavar="PATH", help="block-list file"),
+}
+
+
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k2", action="store_true", default=None, help="single-edge graph")
-    group.add_argument("--triangle", action="store_true", default=None, help="triangle graph")
-    group.add_argument("--fano", action="store_true", default=None, help="Fano plane")
-    group.add_argument("--graph", metavar="NAME",
-                       help="named graph: k2, triangle, fig3, fig4a, star-composite, fig6")
-    group.add_argument("--sts", type=int, metavar="V", help="Steiner triple system on V points")
-    group.add_argument("--complete", type=int, metavar="N", help="complete graph on N vertices")
-    group.add_argument("--higher", metavar="T-V-K-L",
-                       help="subset-vs-block structure of a t-(v,k,lam) design")
-    group.add_argument("--design", metavar="T-V-K-L", help="a t-(v,k,lam) design itself")
-    group.add_argument("--file", metavar="PATH", help="incidence matrix file")
-    group.add_argument("--blocks", metavar="PATH", help="block-list file")
+    for flag, keywords in _INSTANCE_FLAGS.items():
+        group.add_argument(f"--{flag}", **keywords)
     orient = parser.add_mutually_exclusive_group()
     orient.add_argument("--normal", action="store_true", help="row orientation (default)")
     orient.add_argument("--transpose", action="store_true", help="column orientation")
 
-
-# instance flag -> the source spec it stands for
-_FLAG_SOURCES = {
-    "k2": "k2",
-    "triangle": "triangle",
-    "fano": "fano",
-    "graph": "graph:{}",
-    "sts": "sts:{}",
-    "complete": "complete:{}",
-    "higher": "higher:{}",
-    "design": "design:{}",
-    "file": "file:{}",
-    "blocks": "blocks:{}",
-}
 
 # structure subcommand -> (source spec, what a missing argument should name)
 _STRUCTURE_SOURCES = {
@@ -174,8 +171,9 @@ _STRUCTURE_SOURCES = {
 
 def _instance_from_flags(args) -> tuple[IncidenceStructure, str, str]:
     # Flags left unset are None, so `--sts 0` reaches the constructor.
-    flag = next(f for f in _FLAG_SOURCES if getattr(args, f) is not None)
-    return _resolve_source(_FLAG_SOURCES[flag].format(getattr(args, flag)))
+    flag = next(f for f in _INSTANCE_FLAGS if getattr(args, f) is not None)
+    value = getattr(args, flag)
+    return _resolve_source(flag if value is True else f"{flag}:{value}")
 
 
 def _orientation(args) -> str:
@@ -189,9 +187,9 @@ def _orientation(args) -> str:
 def cmd_structure(args) -> int:
     if args.what == "graph" and args.edges:
         if args.arg:
-            raise CliError("give either a named graph or --edges, not both")
+            raise ValueError("give either a named graph or --edges, not both")
         if not args.vertices:
-            raise CliError("graph needs a name or --vertices N --edges u-v,...")
+            raise ValueError("graph needs a name or --vertices N --edges u-v,...")
         edges = []
         for part in args.edges.split(","):
             u, _, v = part.partition("-")
@@ -200,7 +198,7 @@ def cmd_structure(args) -> int:
     else:
         spec, needs = _STRUCTURE_SOURCES[args.what]
         if needs and not args.arg:
-            raise CliError(f"{args.what} needs {needs}")
+            raise ValueError(f"{args.what} needs {needs}")
         struct, _, _ = _resolve_source(spec.format(args.arg))
         if args.what == "transpose":
             struct = struct.transpose()
@@ -255,9 +253,9 @@ def cmd_bound(args) -> int:
     struct, family, label = _instance_from_flags(args)
     orientation = _orientation(args)
     if args.subset_limit < 0:
-        raise CliError(f"--subset-limit must be nonnegative, got {args.subset_limit}")
+        raise ValueError(f"--subset-limit must be nonnegative, got {args.subset_limit}")
     if args.max_subset_size < 0:
-        raise CliError(f"--max-subset-size must be nonnegative, got {args.max_subset_size}")
+        raise ValueError(f"--max-subset-size must be nonnegative, got {args.max_subset_size}")
     a = orient_matrix(struct, orientation)
     for p in _parse_chars(args.char):
         field = PrimeField(p)
@@ -290,10 +288,10 @@ def cmd_code(args) -> int:
     struct, family, label = _instance_from_flags(args)
     orientation = _orientation(args)
     if args.random_trials < 0:
-        raise CliError(f"--random-trials must be nonnegative, got {args.random_trials}")
+        raise ValueError(f"--random-trials must be nonnegative, got {args.random_trials}")
     chars = _parse_chars(args.char)
     if len(chars) != 1:
-        raise CliError(f"code takes a single characteristic, got {args.char!r}")
+        raise ValueError(f"code takes a single characteristic, got {args.char!r}")
     (p,) = chars
     field = PrimeField(p)
     net = build_sum_network(orient_matrix(struct, orientation), args.alpha)
@@ -353,13 +351,14 @@ def cmd_table(args) -> int:
             specs += [RowSpec(label, struct, family, orientation, p) for p in chars]
     elif args.scenario == "sts":
         if not (args.v and args.char):
-            raise CliError("table sts needs --v and --char")
-        for v in args.v.split(","):
-            struct, family, label = _resolve_source(f"sts:{v}")
-            specs += [RowSpec(label, struct, family, "normal", p) for p in _parse_chars(args.char)]
+            raise ValueError("table sts needs --v and --char")
+        systems = [_resolve_source(f"sts:{v}") for v in args.v.split(",")]
+        chars = _parse_chars(args.char)
+        specs = [RowSpec(label, struct, family, "normal", p)
+                 for struct, family, label in systems for p in chars]
     elif args.scenario == "higher":
         if not (args.design and args.char):
-            raise CliError("table higher needs --design and --char")
+            raise ValueError("table higher needs --design and --char")
         struct, family, label = _resolve_source(f"higher:design:{args.design}")
         for p in _parse_chars(args.char):
             specs += [RowSpec(label, struct, family, o, p) for o in ("normal", "transpose")]
@@ -372,7 +371,7 @@ def cmd_table(args) -> int:
             print(f"  t={t}: lam={lam}, capacity {cap}")
         return EXIT_OK
     else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown scenario {args.scenario!r}")
+        raise ValueError(f"unknown scenario {args.scenario!r}")
     rows = report_mod.capacity_table(specs)
     if args.structured:
         sys.stdout.write(report_mod.render_table_jsonl(rows))
@@ -394,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("structure", help="build and print incidence structures")
-    ps.add_argument("what", choices=["graph", "fano", "sts", "complete",
-                                     "star-composite", "higher", "transpose", "from-file"])
+    ps.add_argument("what", choices=list(_STRUCTURE_SOURCES))
     ps.add_argument("arg", nargs="?", help="subcommand argument (size, name, spec, or path)")
     ps.add_argument("--vertices", type=int, help="vertex count for --edges")
     ps.add_argument("--edges", help="edge list u-v,u-v,... for graph")
@@ -451,7 +449,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -71,7 +71,6 @@ __all__ = [
     "NetworkCode",
     "Decoder",
     "NoApplicableCode",
-    "OverlapResidue",
     "overlap_residue",
     "find_transfer_matrix",
     "find_margin_matrix",
@@ -136,30 +135,17 @@ class NetworkCode:
 # overlap residue (encoder coefficient condition)
 
 
-@dataclass(frozen=True)
-class OverlapResidue:
-    """A^T A minus its support indicator, reduced mod p.
+def overlap_residue(a: IntMatrix, field: PrimeField) -> Optional[tuple[int, ...]]:
+    """The diagonal of A^T A minus its support indicator, reduced mod p.
 
-    ``is_diagonal`` reports whether all off-diagonal residues vanish;
-    ``diagonal`` holds the diagonal residues.  The code needs a diagonal
-    residue, and builds on the columns whose diagonal entry is nonzero.
+    Returns None when an off-diagonal entry is nonzero mod p: the code
+    needs a diagonal residue, and builds on the columns whose diagonal
+    entry is nonzero.
     """
-
-    char: int
-    is_diagonal: bool
-    diagonal: tuple[int, ...]
-
-    def all_nonzero(self) -> bool:
-        return self.is_diagonal and all(x != 0 for x in self.diagonal)
-
-    def is_zero(self) -> bool:
-        return self.is_diagonal and all(x == 0 for x in self.diagonal)
-
-
-def overlap_residue(a: IntMatrix, field: PrimeField) -> OverlapResidue:
     rows = residue_rows(a, field.p)
-    diag = tuple([row.get(j, 0) for j, row in enumerate(rows)])
-    return OverlapResidue(field.p, all(row.keys() <= {j} for j, row in enumerate(rows)), diag)
+    if not all(row.keys() <= {j} for j, row in enumerate(rows)):
+        return None
+    return tuple([row.get(j, 0) for j, row in enumerate(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +310,13 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     """
     require_nonzero_lines(a)
     p = field.p
-    residue = overlap_residue(a, field)
-    if not residue.is_diagonal:
+    mu = overlap_residue(a, field)
+    if mu is None:
         raise NoApplicableCode(
             "encoder coefficient condition failed: overlap residue has a "
             f"nonzero off-diagonal entry mod {p}"
         )
-    in_p = [x != 0 for x in residue.diagonal]
+    in_p = [x != 0 for x in mu]
     cols = list(compress(range(a.cols), in_p))  # P', 0-based
     # B', the rows meeting P'; one row, the scalar code's block, when P' is empty.
     rows = [i for i in range(a.rows) if any(compress(a.row(i), in_p))] or [0]
@@ -349,13 +335,14 @@ def build_transfer_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
         )
     check_transfer_matrix(d, sub, row_total=len(cols), col_total=len(rows))
     row_ids, col_ids = [i + 1 for i in rows], [j + 1 for j in cols]
-    return _assemble_transfer(a, p, row_ids, col_ids, d, residue.diagonal)
+    return _assemble_transfer(a, p, row_ids, col_ids, d, mu)
 
 
 def build_scalar_code(a: IntMatrix, field: PrimeField) -> NetworkCode:
     """The rate-1 scalar code, applicable when the overlap residue vanishes."""
     require_nonzero_lines(a)
-    if not overlap_residue(a, field).is_zero():
+    mu = overlap_residue(a, field)
+    if mu is None or any(mu):
         raise NoApplicableCode(
             "scalar code condition failed: A^T A is not congruent to its "
             f"support indicator mod {field.p}"

@@ -103,15 +103,15 @@ def generate_code(
     """
     a = orient_matrix(struct, orientation)
     require_nonzero_lines(a)
-    residue = codes_mod.overlap_residue(a, field)
-    if not residue.is_diagonal:
+    mu = codes_mod.overlap_residue(a, field)
+    if mu is None:
         raise NoApplicableCode("overlap residue is not diagonal mod p")
     graph_transpose = family == "graph" and orientation == "transpose"
-    mixed = not (residue.all_nonzero() or residue.is_zero())
+    mixed = any(mu) and not all(mu)
     reasons = ["overlap residue has zero diagonal entries mod p"] if mixed else []
     if mixed and not graph_transpose:
         raise NoApplicableCode(reasons[0])
-    via = "graph-transpose" if mixed else "transfer" if residue.all_nonzero() else "scalar"
+    via = "graph-transpose" if mixed else "transfer" if all(mu) else "scalar"
     try:
         return codes_mod.build_transfer_code(a, field), via
     except NoApplicableCode as exc:

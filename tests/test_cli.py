@@ -19,7 +19,7 @@ from sumnet.incidence import (
     render_blocks_text,
     render_matrix_text,
 )
-from sumnet.instances import get_instance
+from sumnet.instances import INSTANCES
 from sumnet.network import import_graph
 
 
@@ -96,7 +96,7 @@ def test_structure_network_export(capsys):
     assert net.alpha == 2 and net.r == 2 and net.c == 1
     status, out, _ = run(capsys, "structure", "graph", "fig4a", "--network", "--transpose")
     assert status == 0
-    assert import_graph(out).matrix == get_instance("fig4a").build().matrix.transpose()
+    assert import_graph(out).matrix == INSTANCES["fig4a"][1]().matrix.transpose()
 
 
 def test_bound_fig3_transpose(capsys):
@@ -376,6 +376,16 @@ def test_table_sts_dichotomy(capsys):
     assert all("yes" in ln for ln in lines)
 
 
+def test_table_sts_prints_a_prime_power_note_once(capsys):
+    status, out, _ = run(capsys, "table", "sts", "--v", "7,9", "--char", "4")
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[0] == "note: field order 4 reduced to characteristic 2"
+    assert out.count("note: field order") == 1
+    assert [ln.split()[:3] for ln in lines[3:]] == [["sts-7", "normal", "2"],
+                                                     ["sts-9", "normal", "2"]]
+
+
 def test_table_higher_structured(capsys):
     status, out, _ = run(capsys, "table", "higher", "--design", "2-4-3-2",
                          "--char", "2,3", "--structured")
@@ -539,6 +549,17 @@ def test_design_spec_is_refused_without_building_it(capsys, monkeypatch):
     monkeypatch.setattr(incidence, "all_subsets_design", refuse)
     err = "error: no built-in construction for a 2-(40,20,1) design; supply a structure file instead\n"
     assert run(capsys, "bound", "--design", "2-40-20-1", "--char", "2") == (1, "", err)
+
+
+@pytest.mark.parametrize("spec", ["2-1000000-500000-3", "2-3000000-1500000-3"])
+def test_design_spec_is_refused_without_a_huge_binomial(capsys, spec):
+    # C(v-2, k-2) has about 300,000 and 900,000 digits: the running product stops at lam.
+    t, v, k, lam = spec.split("-")
+    err = (f"error: no built-in construction for a {t}-({v},{k},{lam}) design; "
+           "supply a structure file instead\n")
+    start = time.monotonic()
+    assert run(capsys, "bound", "--design", spec, "--char", "3") == (1, "", err)
+    assert time.monotonic() - start < 5
 
 
 def test_bound_decides_a_large_characteristic_quickly(capsys):

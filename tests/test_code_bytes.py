@@ -32,18 +32,18 @@ from sumnet.incidence import (
     star_composite,
     steiner_triple,
 )
-from sumnet.instances import INSTANCES, get_instance
+from sumnet.instances import INSTANCES
 from sumnet.network import build_sum_network
 from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import verify_exact, verify_random
 
 STRUCTURES = {
-    "k2": (lambda: get_instance("k2").build(), "graph"),
+    "k2": (INSTANCES["k2"][1], "graph"),
     "sts-7": (lambda: steiner_triple(7), "bibd"),
     "sts-9": (lambda: steiner_triple(9), "bibd"),
     "sts-13": (lambda: steiner_triple(13), "bibd"),
     "star-composite": (star_composite, "graph"),
-    "fig4a": (lambda: get_instance("fig4a").build(), "graph"),
+    "fig4a": (INSTANCES["fig4a"][1], "graph"),
     "K5": (lambda: complete_graph(5), "graph"),
     "K6": (lambda: complete_graph(6), "graph"),
     "higher-2-(4,3,2)": (lambda: higher_incidence(all_subsets_design(4, 3)), "higher"),
@@ -150,7 +150,7 @@ def random_structure(rng):
 
 def outcome_structures():
     """(label, structure, family) for every structure the outcome digest covers."""
-    out = [(name, inst.build(), inst.family) for name, inst in INSTANCES.items()]
+    out = [(name, build(), family) for name, (family, build) in INSTANCES.items()]
     out += [(f"K{n}", complete_graph(n), "graph") for n in range(3, 9)]
     out += [(f"sts-{v}", steiner_triple(v), "bibd") for v in (7, 9)]
     out += [(f"all-{v}-{k}", all_subsets_design(v, k), "tdesign")

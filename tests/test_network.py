@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import FIG4A_MATRIX, mat, message_offsets, random_01_matrix
 from sumnet.gf import IntMatrix
 from sumnet.incidence import all_subsets_design, higher_incidence, steiner_triple
-from sumnet.instances import get_instance
+from sumnet.instances import INSTANCES
 from sumnet.network import (
     SumNetwork,
     _max_flow,
@@ -305,7 +305,7 @@ def test_feeding_columns_are_the_written_out_coordinates(seed, m):
 
 
 GRAPH_STRUCTURES = {
-    **{name: get_instance(name).build
+    **{name: INSTANCES[name][1]
        for name in ("k2", "triangle", "fig3", "fig4a", "star-composite", "fano")},
     "sts-7": lambda: steiner_triple(7),
     "sts-9": lambda: steiner_triple(9),

@@ -30,7 +30,7 @@ from sumnet.codes import (
 )
 from sumnet.gf import PrimeField, is_prime
 from sumnet.incidence import from_graph, steiner_triple
-from sumnet.instances import get_instance
+from sumnet.instances import INSTANCES
 from sumnet.network import bottleneck_sources, build_sum_network
 from sumnet.report import generate_code, orient_matrix
 from sumnet.verify import (
@@ -497,9 +497,9 @@ def test_simulation_memory_is_bounded_by_the_block():
     # 250 trials on the 65-terminal network: four blocks of 64, each
     # decoded terminal by terminal, so the traced peak does not grow with
     # the trial count or the number of terminals.
-    inst = get_instance("star-composite")
-    code, _ = generate_code(inst.build(), inst.family, "transpose", PrimeField(5))
-    net = build_sum_network(orient_matrix(inst.build(), "transpose"))
+    family, build = INSTANCES["star-composite"]
+    code, _ = generate_code(build(), family, "transpose", PrimeField(5))
+    net = build_sum_network(orient_matrix(build(), "transpose"))
     tracemalloc.start()
     try:
         report = verify_random(net, code, 250, 1)
@@ -540,13 +540,13 @@ SIM_CASES = [
 
 @cache
 def sim_code(name, orientation, kind, p, alpha):
-    inst = get_instance(name)
+    family, build = INSTANCES[name]
     if kind == "reference":
         code = reference_code(f"{name}-{orientation}", p)
     else:
-        code, _ = generate_code(inst.build(), inst.family, orientation, PrimeField(p))
+        code, _ = generate_code(build(), family, orientation, PrimeField(p))
     code = lift_code(code, alpha)
-    return build_sum_network(orient_matrix(inst.build(), orientation), alpha=alpha), code
+    return build_sum_network(orient_matrix(build(), orientation), alpha=alpha), code
 
 
 def corrupt_entries(net, code, data) -> NetworkCode:
