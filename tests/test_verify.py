@@ -351,6 +351,60 @@ def test_range_is_refused_before_locality():
                 check()
 
 
+@cache
+def sts7_code():
+    sts7 = steiner_triple(7)
+    code, _ = generate_code(sts7, "bibd", "normal", PrimeField(3))
+    return build_sum_network(orient_matrix(sts7, "normal")), code
+
+
+def with_faults(code, nonlocal_in=(), outside_in=()):
+    """The code with an in-range entry off the feeding columns of each listed
+    encoder (1-based) and an entry 5, outside [0, 3), in each listed decoder;
+    the decoders dict keeps the code's order."""
+    net, _ = sts7_code()
+    encoders = [e.copy() for e in code.encoders]
+    for i in nonlocal_in:
+        off = sorted(set(range(encoders[i - 1].shape[1])) - set(fed_columns(net, code, i)))
+        encoders[i - 1][0, off[0]] = 1
+    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    for t in outside_in:
+        decoders[t].matrix[0, 0] = 5
+    return NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                       tuple(encoders), decoders)
+
+
+def assert_refused(net, code, want):
+    for check in (lambda: verify_exact(net, code), lambda: verify_random(net, code, 5, 1)):
+        with pytest.raises(ValueError) as caught:
+            check()
+        assert str(caught.value) == want
+
+
+def test_gate_names_the_range_fault_before_a_locality_fault_in_e1():
+    net, code = sts7_code()
+    bad = with_faults(code, nonlocal_in=(1,), outside_in=("t_B3",))
+    assert_refused(net, bad, "decoder for t_B3 has an entry outside [0, 3)")
+
+
+def test_gate_names_the_lowest_nonlocal_encoder_whatever_the_order_of_the_faults():
+    net, code = sts7_code()
+    assert_refused(net, with_faults(code, nonlocal_in=(3, 2)),
+                   "encoder e2 uses a message outside the sources feeding it")
+
+
+def test_gate_names_the_first_decoder_out_of_range_in_the_code_s_dict_order():
+    # A code read from a file holds its decoders in export (sorted) order,
+    # where t_B5 comes before t_p2; a built code holds them in terminal order.
+    net, code = sts7_code()
+    built = with_faults(code, outside_in=("t_p2", "t_B5"))
+    imported = import_code(export_code(built))
+    assert list(built.decoders).index("t_p2") < list(built.decoders).index("t_B5")
+    assert list(imported.decoders).index("t_B5") < list(imported.decoders).index("t_p2")
+    assert_refused(net, built, "decoder for t_p2 has an entry outside [0, 3)")
+    assert_refused(net, imported, "decoder for t_B5 has an entry outside [0, 3)")
+
+
 def test_verify_random_rejects_negative_trials():
     net = build_sum_network(K2_MATRIX)
     code = build_transfer_code(K2_MATRIX, PrimeField(3))
