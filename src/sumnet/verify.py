@@ -62,6 +62,7 @@ from .network import SumNetwork, feeding_columns
 _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 64  # trials simulated per block
+_CHUNK = 1 << 12  # products and target keys sorted at once by verify_exact
 
 
 def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -132,14 +133,14 @@ def _check(net: SumNetwork, code: NetworkCode):
     the entry range, encoder locality, then each decoder's inputs and shape.
     This is the only reader of a code's matrices.  It returns them as term
     lists, each held row-major as arrays of (row, value read, coefficient):
-    the stacked bundle map, whose terms read message coordinates, and
-    (terminal, decoder) pairs in terminal order, whose terms read stacked
-    rows.  The stacked rows are bottlenecks e1..er, then one direct bundle
-    per source in message order, each alpha*n rows.  An encoder's terms are
-    all its nonzero entries, and the locality check finds each in its
-    feeding columns, the coordinates of the sources feeding it.  A direct
-    slot has one term of coefficient 1: parallel edge l carries message
-    slice [l*m/alpha, (l+1)*m/alpha) in its leading slots.
+    the stacked bundle map, whose terms read message coordinates, and every
+    decoder's, whose terms read stacked rows, joined in terminal order and
+    returned with the terminals and the bounds of each one's terms.  The
+    stacked rows are bottlenecks e1..er, then one direct bundle per source
+    in message order, each alpha*n rows.  An encoder's terms are all its
+    nonzero entries, and the locality check finds each among the sources
+    feeding it.  A direct slot has one term of coefficient 1: parallel edge
+    l carries message slice [l*m/alpha, (l+1)*m/alpha) in its leading slots.
     """
     if (net.r, net.c) != (code.rows, code.cols):
         shapes = f"{code.rows}x{code.cols} matrix, network has {net.r}x{net.c}"
@@ -176,23 +177,32 @@ def _check(net: SumNetwork, code: NetworkCode):
         row, k, coef = _entries(enc)
         parts.append((row + i * width, k, coef))
     terms = {t: _entries(dec.matrix) for t, dec in code.decoders.items()}
-    # The int64 limit above holds only for entries reduced mod p.
-    named = [(f"encoder e{i}", coef) for i, (_, _, coef) in enumerate(parts, start=1)]
-    named += [(f"decoder for {t}", coef) for t, (_, _, coef) in terms.items()]
-    for name, values in named:
-        if values.size and (values.min() < 0 or values.max() >= code.p):
-            raise ValueError(f"{name} has an entry outside [0, {code.p})")
-    for i, (_, k, _) in enumerate(parts, start=1):
-        fed = np.zeros(dim, dtype=bool)
-        fed[feeding_columns(net.matrix, i, m)] = True
-        if not fed[k].all():
-            raise ValueError(f"encoder e{i} uses a message outside the sources feeding it")
+    # The int64 limit above holds only for entries reduced mod p.  Both
+    # checks below run once over every matrix's terms, concatenated in the
+    # order the first fault is named in: encoders, then code.decoders.
+    names = [f"encoder e{i}" for i in range(1, net.r + 1)] + [f"decoder for {t}" for t in terms]
+    values = [coef for _, _, coef in parts] + [coef for _, _, coef in terms.values()]
+    ends = np.cumsum([len(v) for v in values])
+    outside = np.concatenate(values)
+    outside = (outside < 0) | (outside >= code.p)
+    if outside.any():
+        name = names[np.searchsorted(ends, outside.argmax(), side="right")]
+        raise ValueError(f"{name} has an entry outside [0, {code.p})")
+    # fed[i, s]: source s feeds e<i+1>; with m = 1 the feeding columns are the sources.
+    fed = np.zeros((net.r, net.r + net.c), dtype=bool)
+    for i in range(net.r):
+        fed[i, feeding_columns(net.matrix, i + 1, 1)] = True
+    row, k, _ = map(np.concatenate, zip(*parts))
+    foreign = ~fed[row // width, k // m]
+    if foreign.any():  # encoder terms are in encoder order, so the first names the lowest
+        i = row[foreign.argmax()] // width + 1
+        raise ValueError(f"encoder e{i} uses a message outside the sources feeding it")
     slots = np.arange((net.r + net.c) * width).reshape(-1, code.alpha, code.n) + net.r * width
     direct = slots[:, :, : m // code.alpha].ravel()  # carry coordinates 0, 1, ..., dim - 1
     parts.append((direct, np.arange(dim), np.ones(dim, dtype=np.int64)))
     labels = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
     start = {label: k * width for k, label in enumerate(labels)}
-    decoders = []
+    starts = []  # the first stacked row of every input of every terminal, in turn
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
@@ -202,10 +212,24 @@ def _check(net: SumNetwork, code: NetworkCode):
             raise ValueError(f"decoder for {terminal} reads {dec.inputs}, expected {expected}")
         if dec.matrix.shape != (m, width * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
-        row, k, coef = terms[terminal]
-        read = np.array([start[x] for x in ins], dtype=np.intp)[k // width] + k % width
-        decoders.append((terminal, (row, read, coef)))
-    return tuple(map(np.concatenate, zip(*parts))), decoders
+        starts += [start[x] for x in ins]
+    # Every decoder's terms in terminal order, each column read as the
+    # stacked row it names.  Each list is let go once joined, and the reads
+    # are computed in place, so that at most two arrays of all the decoder
+    # terms are held beside the three returned.
+    order = list(net.inputs)
+    lengths = [len(terms[t][0]) for t in order]
+    del values
+    out, read, coef = zip(*(terms.pop(t) for t in order))
+    out = np.concatenate(out)
+    read = np.concatenate(read)
+    coef = np.concatenate(coef)
+    at = np.repeat(np.cumsum([0] + [len(ins) for ins in net.inputs.values()])[:-1], lengths)
+    at += read // width  # the input each term reads, counted over every terminal's inputs
+    read %= width
+    read += np.array(starts, dtype=np.intp)[at]
+    bounds = np.cumsum([0] + lengths)  # terminal order[t]'s terms are bounds[t]:bounds[t + 1]
+    return tuple(map(np.concatenate, zip(*parts))), (order, bounds, out, read, coef)
 
 
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
@@ -214,25 +238,55 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     ok means every terminal's composite map equals the sum map, i.e. the
     code is correct for all q^(m(r+c)) messages.
     """
-    (rows, coords, coefs), decoders = _check(net, code)
+    (rows, coords, coefs), (terminals, bounds, out, reads, coef) = _check(net, code)
     p, m, dim = code.p, code.m, code.m * (net.r + net.c)
-    target = np.tile(np.eye(m, dtype=np.int64), net.r + net.c)
     # Stacked row s's terms are rows[heads[s]:heads[s + 1]], as rows is sorted.
     heads = np.searchsorted(rows, np.arange((2 * net.r + net.c) * code.alpha * code.n + 1))
+    # Decoder term j joins the terms of stacked row reads[j]: its products
+    # are numbered done[j]..done[j + 1] - 1 over all terminals.
+    done = np.zeros(len(reads) + 1, dtype=np.int64)
+    np.cumsum(np.diff(heads)[reads], out=done[1:])
+    size = done[bounds]  # the products of the terminals before each one
     failures = []
-    for terminal, (out, reads, coef) in decoders:
-        # Join every decoder term with each term of the stacked row it reads.
-        first = heads[reads]
-        counts = heads[reads + 1] - first
-        join = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        products = np.repeat(coef, counts) * coefs[join]
-        composite = np.zeros_like(target)
-        np.add.at(composite, (np.repeat(out, counts), coords[join]), products)
-        diff = composite % p != target  # the sums stay within _check's int64 limit
-        if np.any(diff):
-            unit = np.zeros(dim, dtype=np.int64)
-            unit[np.flatnonzero(diff.any(axis=0))[0]] = 1
-            failures.append((terminal, _assignment(net, m, unit)))
+    a = 0
+    while a < len(terminals):
+        # A chunk is whole terminals whose products stay within _CHUNK, or one terminal.
+        b = max(a + 1, int(np.searchsorted(size, size[a] + _CHUNK, side="right")) - 1)
+        lo, hi = bounds[a], bounds[b]
+        first = heads[reads[lo:hi]]
+        counts = heads[reads[lo:hi] + 1] - first
+        join = np.repeat(first - done[lo:hi], counts) + np.arange(done[lo], done[hi])
+        # Key (terminal * m + row) * dim + coordinate, the terminal counted
+        # from a, is below (b - a) * m * dim: under _CHUNK * m when b - a > 1,
+        # else under m * dim <= width * dim, the size of one encoder, since
+        # width >= m lets the direct bundles carry a message.  So it fits int64.
+        rows_in = np.repeat(np.arange(b - a) * m, np.diff(bounds[a : b + 1])) + out[lo:hi]
+        keys = np.repeat(rows_in * dim, counts) + coords[join]
+        # A key's run sums at most one product per decoder term of its row,
+        # each at most (p-1)^2, so _check's int64 limit covers it unreduced.
+        values = np.repeat(coef[lo:hi], counts) * coefs[join]
+        order = np.argsort(keys)
+        keys = keys[order]
+        runs = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys = keys[runs]
+        sums = np.add.reduceat(values[order], runs) % p
+        # The sum map is 1 where the coordinate is its row's in some source's
+        # block, and dim divides by m, so key and coordinate agree mod m there.
+        ones = keys % m == keys // dim % m
+        wrong = keys[sums != ones]
+        if wrong.size or np.count_nonzero(ones) < (b - a) * dim:
+            # Add the keys of the sum map's ones that no product reaches.
+            target = np.arange((b - a) * m)[:, None] * dim + np.arange(0, dim, m)
+            target += np.arange((b - a) * m)[:, None] % m
+            wrong = np.union1d(wrong, np.setdiff1d(target, keys[ones], assume_unique=True))
+            # Each failing terminal's witness is its smallest coordinate that differs.
+            terminal, coordinate = wrong // (m * dim), wrong % dim
+            starts = np.flatnonzero(np.diff(terminal, prepend=-1))
+            for t, col in zip(terminal[starts], np.minimum.reduceat(coordinate, starts)):
+                unit = np.zeros(dim, dtype=np.int64)
+                unit[col] = 1
+                failures.append((terminals[a + t], _assignment(net, m, unit)))
+        a = b
     return VerifyReport(
         mode="exact-basis",
         ok=not failures,
@@ -268,10 +322,13 @@ def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
     without terms stay zero, and then one decoder at a time.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
-    (rows, coords, coefs), decoders = terms
+    (rows, coords, coefs), (terminals, bounds, out, reads, coef) = terms
     cuts = list(np.searchsorted(rows, np.arange(net.r + 1) * width)) + [len(rows)]
     bundles = [_runs(rows[a:b], coords[a:b], coefs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    decoders = [(t, _runs(*dec)) for t, dec in decoders]
+    decoders = [
+        (t, _runs(out[lo:hi], reads[lo:hi], coef[lo:hi]))
+        for t, lo, hi in zip(terminals, bounds, bounds[1:])
+    ]
     failures = []
     values = np.zeros((_BLOCK, (2 * net.r + net.c) * width), dtype=np.int64)
     for x in blocks:

@@ -19,6 +19,7 @@ from conftest import (
     reference_random,
     reference_symbols,
 )
+from sumnet import verify
 from sumnet.codes import (
     Decoder,
     NetworkCode,
@@ -524,6 +525,50 @@ def all_top_code(alpha):
                             tuple(encoders), decoders)
 
 
+# verify_exact composes terminals in chunks; these codes span one chunk to dozens.
+CHUNK_CASES = [
+    ("sts-7", "normal", 3, 1),
+    ("sts-9", "normal", 3, 1),
+    ("fano", "normal", 3, 1),
+    ("star-composite", "transpose", 5, 1),
+    ("fig4a", "transpose", 3, 2),
+]
+
+
+@cache
+def chunk_code(name, orientation, p, alpha):
+    if name.startswith("sts-"):
+        family, build = "bibd", lambda: steiner_triple(int(name[4:]))
+    else:
+        family, build = INSTANCES[name]
+    code, _ = generate_code(build(), family, orientation, PrimeField(p))
+    return build_sum_network(orient_matrix(build(), orientation), alpha=alpha), lift_code(code, alpha)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(CHUNK_CASES), data=st.data())
+def test_exact_reports_do_not_depend_on_the_chunking(case, data):
+    # Two or three terminals lose a whole decoder row, so each of them fails,
+    # and up to three entries anywhere are shifted on top.  One terminal per
+    # chunk and one chunk for all give the same report, the reference's.
+    net, code = chunk_code(*case)
+    broken = data.draw(
+        st.lists(st.sampled_from(sorted(code.decoders)), min_size=2, max_size=3, unique=True),
+        label="terminals",
+    )
+    bad = corrupt_entries(net, code, data)
+    for t in broken:
+        bad.decoders[t].matrix[data.draw(st.integers(0, code.m - 1), label="row")] = 0
+    reports = []
+    for chunk in (1, 2**40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_CHUNK", chunk)
+            reports.append(verify_exact(net, bad))
+    assert reports[0] == reports[1]
+    assert list(reports[0].failures) == python_int_failures(net, bad)
+    assert set(broken) <= {t for t, _ in reports[0].failures}
+
+
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
     # The composite reaches (p-1)^2 times the decoder width before reduction.
@@ -566,8 +611,8 @@ def test_simulation_memory_is_bounded_by_the_block():
 
 def test_exact_memory_is_bounded_by_one_terminal():
     # The sts-19 code's int8 encoders alone hold 2.0 MiB (15.9 MiB as int64);
-    # verify_exact composes one terminal at a time, so neither a dense bundle
-    # map nor the whole code's products are ever held at once.
+    # verify_exact composes a chunk of terminals at a time, so neither a dense
+    # bundle map nor the whole code's products are ever held at once.
     sts19 = steiner_triple(19)
     code, _ = generate_code(sts19, "bibd", "normal", PrimeField(3))
     net = build_sum_network(orient_matrix(sts19, "normal"))
