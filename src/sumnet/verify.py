@@ -62,7 +62,7 @@ from .network import SumNetwork, feeding_columns
 _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 64  # trials simulated per block
-_CHUNK = 1 << 12  # products and target keys sorted at once by verify_exact
+_CHUNK = 1 << 12  # join products sorted at once by verify_exact
 
 
 def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -276,8 +276,8 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
         wrong = keys[sums != ones]
         if wrong.size or np.count_nonzero(ones) < (b - a) * dim:
             # Add the keys of the sum map's ones that no product reaches.
-            target = np.arange((b - a) * m)[:, None] * dim + np.arange(0, dim, m)
-            target += np.arange((b - a) * m)[:, None] % m
+            row = np.arange((b - a) * m)[:, None]
+            target = row * dim + row % m + np.arange(0, dim, m)
             wrong = np.union1d(wrong, np.setdiff1d(target, keys[ones], assume_unique=True))
             # Each failing terminal's witness is its smallest coordinate that differs.
             terminal, coordinate = wrong // (m * dim), wrong % dim
