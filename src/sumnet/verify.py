@@ -15,15 +15,21 @@ direct edge, which carries its source's message uncoded, one term of
 coefficient 1 per slot it uses.  So a direct edge is one more bundle whose
 map is a selection.  Each decoder lists the stacked rows it reads.
 
-``verify_exact`` is complete for the linear codes built here.  For each
-terminal it joins every decoder term with each term of the stacked row it
-reads, adds the products into the dense composite map and compares it with
-the all-ones block map [I_m | I_m | ... | I_m].  The sums are exact in
-int64 and reduced mod p once per terminal: an entry sums at most one
-product per decoder term of its row, each at most (p-1)^2, and ``_check``
-keeps (p-1)^2 times the decoder's width below 2^63.  Equality of those
-matrices is equivalent to correct decoding of every message tuple, so a
-passing report is a proof, not a sample.  Enumerating every message tuple
+``verify_exact`` is complete for the linear codes built here.  It takes
+consecutive whole terminals in chunks whose join products stay within
+``_CHUNK`` (or one terminal alone), joins every decoder term with each term
+of the stacked row it reads, and keys each product by (terminal, row,
+coordinate).  Sorting the keys and summing each run of equal keys gives
+every nonzero entry of each terminal's composite map; no dense composite
+is built.  The sums are exact in int64 and then reduced mod p: an entry
+sums at most one product per decoder term of its row, each at most
+(p-1)^2, and ``_check`` keeps (p-1)^2 times the decoder's width below 2^63.
+A terminal fails where an entry differs from the all-ones block map
+[I_m | I_m | ... | I_m], or where a one of that map gets no product, and
+its witness is the smallest such coordinate, the first column in which the
+two matrices differ.  Equality of those matrices is equivalent to correct
+decoding of every message tuple, so a passing report is a proof, not a
+sample.  Enumerating every message tuple
 is only the tests' ground truth for it, kept with their other references
 in ``tests/conftest.py``.
 
@@ -172,37 +178,57 @@ def _check(net: SumNetwork, code: NetworkCode):
     # Over Z/p with p not prime (p = 1 makes every map zero) a passing check proves nothing.
     if not is_prime(code.p):
         raise ValueError(f"characteristic p={code.p} is not a prime: codes are checked over GF(p)")
-    parts = []  # each bundle's terms: (stacked row, coordinate read, coefficient)
+    parts = []  # each encoder's terms: (stacked row, coordinate read, coefficient)
     for i, enc in enumerate(code.encoders):
         row, k, coef = _entries(enc)
         parts.append((row + i * width, k, coef))
-    terms = {t: _entries(dec.matrix) for t, dec in code.decoders.items()}
-    # The int64 limit above holds only for entries reduced mod p.  Both
-    # checks below run once over every matrix's terms, concatenated in the
-    # order the first fault is named in: encoders, then code.decoders.
-    names = [f"encoder e{i}" for i in range(1, net.r + 1)] + [f"decoder for {t}" for t in terms]
-    values = [coef for _, _, coef in parts] + [coef for _, _, coef in terms.values()]
-    ends = np.cumsum([len(v) for v in values])
-    outside = np.concatenate(values)
-    outside = (outside < 0) | (outside >= code.p)
+    row, k, coef = map(np.concatenate, zip(*parts))
+    # The decoders' terms go straight into one array each, the network's
+    # terminals in order and then any other decoder, so none is held twice.
+    order = [t for t in net.inputs if t in code.decoders]
+    order += [t for t in code.decoders if t not in net.inputs]
+    found = [np.flatnonzero(code.decoders[t].matrix != 0) for t in order]
+    bounds = np.cumsum([0] + [len(flat) for flat in found])
+    out, read, weight = (np.empty(bounds[-1], dtype=np.int64) for _ in range(3))
+    for t, flat, lo, hi in zip(order, found, bounds, bounds[1:]):
+        mat = code.decoders[t].matrix
+        np.divmod(flat, mat.shape[1], out=(out[lo:hi], read[lo:hi]))  # row, column
+        weight[lo:hi] = np.take(mat, flat)
+    del found
+    # The int64 limit above holds only for entries reduced mod p.  The range
+    # and then the locality are each decided once over all the terms; a
+    # refusal names the first matrix at fault, encoders before decoders and
+    # decoders in the order of code.decoders.
+    outside = (coef < 0) | (coef >= code.p)
+    if outside.any():  # encoder terms are in encoder order, so the first names the lowest
+        i = row[outside.argmax()] // width + 1
+        raise ValueError(f"encoder e{i} has an entry outside [0, {code.p})")
+    outside = (weight < 0) | (weight >= code.p)
     if outside.any():
-        name = names[np.searchsorted(ends, outside.argmax(), side="right")]
-        raise ValueError(f"{name} has an entry outside [0, {code.p})")
+        rank = {t: pos for pos, t in enumerate(code.decoders)}
+        owners = np.searchsorted(bounds, np.flatnonzero(outside), side="right") - 1
+        t = min((order[o] for o in np.unique(owners)), key=rank.__getitem__)
+        raise ValueError(f"decoder for {t} has an entry outside [0, {code.p})")
     # fed[i, s]: source s feeds e<i+1>; with m = 1 the feeding columns are the sources.
     fed = np.zeros((net.r, net.r + net.c), dtype=bool)
     for i in range(net.r):
         fed[i, feeding_columns(net.matrix, i + 1, 1)] = True
-    row, k, _ = map(np.concatenate, zip(*parts))
     foreign = ~fed[row // width, k // m]
-    if foreign.any():  # encoder terms are in encoder order, so the first names the lowest
+    if foreign.any():
         i = row[foreign.argmax()] // width + 1
         raise ValueError(f"encoder e{i} uses a message outside the sources feeding it")
     slots = np.arange((net.r + net.c) * width).reshape(-1, code.alpha, code.n) + net.r * width
     direct = slots[:, :, : m // code.alpha].ravel()  # carry coordinates 0, 1, ..., dim - 1
-    parts.append((direct, np.arange(dim), np.ones(dim, dtype=np.int64)))
+    stacked = (
+        np.concatenate([row, direct]),
+        np.concatenate([k, np.arange(dim)]),
+        np.concatenate([coef, np.ones(dim, dtype=np.int64)]),
+    )
     labels = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
     start = {label: k * width for k, label in enumerate(labels)}
-    starts = []  # the first stacked row of every input of every terminal, in turn
+    # For every input of every terminal in turn, its first stacked row less
+    # its first decoder column; first[t] is terminal t's first input.
+    shift, first = [], []
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
@@ -212,24 +238,15 @@ def _check(net: SumNetwork, code: NetworkCode):
             raise ValueError(f"decoder for {terminal} reads {dec.inputs}, expected {expected}")
         if dec.matrix.shape != (m, width * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
-        starts += [start[x] for x in ins]
-    # Every decoder's terms in terminal order, each column read as the
-    # stacked row it names.  Each list is let go once joined, and the reads
-    # are computed in place, so that at most two arrays of all the decoder
-    # terms are held beside the three returned.
-    order = list(net.inputs)
-    lengths = [len(terms[t][0]) for t in order]
-    del values
-    out, read, coef = zip(*(terms.pop(t) for t in order))
-    out = np.concatenate(out)
-    read = np.concatenate(read)
-    coef = np.concatenate(coef)
-    at = np.repeat(np.cumsum([0] + [len(ins) for ins in net.inputs.values()])[:-1], lengths)
-    at += read // width  # the input each term reads, counted over every terminal's inputs
-    read %= width
-    read += np.array(starts, dtype=np.intp)[at]
-    bounds = np.cumsum([0] + lengths)  # terminal order[t]'s terms are bounds[t]:bounds[t + 1]
-    return tuple(map(np.concatenate, zip(*parts))), (order, bounds, out, read, coef)
+        first.append(len(shift))
+        shift += [start[x] - pos * width for pos, x in enumerate(ins)]
+    shift = np.array(shift, dtype=np.int64)
+    for f, lo, hi in zip(first, bounds, bounds[1:]):
+        col = read[lo:hi]
+        col += shift[f + col // width]  # the stacked row each decoder column reads
+    count = len(first)  # every terminal has its decoder: order[:count] are the terminals
+    n = bounds[count]
+    return stacked, (order[:count], bounds[: count + 1], out[:n], read[:n], weight[:n])
 
 
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
@@ -242,11 +259,12 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     p, m, dim = code.p, code.m, code.m * (net.r + net.c)
     # Stacked row s's terms are rows[heads[s]:heads[s + 1]], as rows is sorted.
     heads = np.searchsorted(rows, np.arange((2 * net.r + net.c) * code.alpha * code.n + 1))
-    # Decoder term j joins the terms of stacked row reads[j]: its products
-    # are numbered done[j]..done[j + 1] - 1 over all terminals.
-    done = np.zeros(len(reads) + 1, dtype=np.int64)
-    np.cumsum(np.diff(heads)[reads], out=done[1:])
-    size = done[bounds]  # the products of the terminals before each one
+    # The products of the terminals before each one: decoder term j joins
+    # the terms of stacked row reads[j].  (Every read is a stacked row, and
+    # take copies its output once more unless it may clip.)
+    size = np.zeros(len(reads) + 1, dtype=np.int64)
+    np.take(np.diff(heads), reads, out=size[1:], mode="clip")
+    size = np.cumsum(size, out=size)[bounds]
     failures = []
     a = 0
     while a < len(terminals):
@@ -255,7 +273,8 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
         lo, hi = bounds[a], bounds[b]
         first = heads[reads[lo:hi]]
         counts = heads[reads[lo:hi] + 1] - first
-        join = np.repeat(first - done[lo:hi], counts) + np.arange(done[lo], done[hi])
+        # Join every decoder term with each term of the stacked row it reads.
+        join = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(size[b] - size[a])
         # Key (terminal * m + row) * dim + coordinate, the terminal counted
         # from a, is below (b - a) * m * dim: under _CHUNK * m when b - a > 1,
         # else under m * dim <= width * dim, the size of one encoder, since
