@@ -68,7 +68,7 @@ from .network import SumNetwork, feeding_columns
 _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 64  # trials simulated per block
-_CHUNK = 1 << 12  # join products sorted at once by verify_exact
+_CHUNK = 1 << 12  # decoder terms or join products a step takes at once (see _chunks)
 
 
 def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -130,6 +130,17 @@ def _entries(mat: np.ndarray):
     mask is several times faster than a 2-D np.nonzero."""
     flat = np.flatnonzero(mat != 0)
     return *np.divmod(flat, mat.shape[1]), np.take(mat, flat).astype(np.int64)
+
+
+def _chunks(ends: np.ndarray):
+    """Ranges [a, b) of consecutive whole terminals whose counts, cumulated
+    in ``ends`` (ends[t] counts terminals 0..t-1), add up to at most _CHUNK,
+    or one terminal alone: they bound the temporaries of a step."""
+    a = 0
+    while a < len(ends) - 1:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _CHUNK, side="right")) - 1)
+        yield a, b
+        a = b
 
 
 def _check(net: SumNetwork, code: NetworkCode):
@@ -226,9 +237,9 @@ def _check(net: SumNetwork, code: NetworkCode):
     )
     labels = [f"e{i}" for i in range(1, net.r + 1)] + net.sources()
     start = {label: k * width for k, label in enumerate(labels)}
-    # For every input of every terminal in turn, its first stacked row less
-    # its first decoder column; first[t] is terminal t's first input.
-    shift, first = [], []
+    # The first stacked row of every input of every terminal in turn;
+    # first[t] is terminal t's first input.
+    starts, first = [], []
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
@@ -238,14 +249,16 @@ def _check(net: SumNetwork, code: NetworkCode):
             raise ValueError(f"decoder for {terminal} reads {dec.inputs}, expected {expected}")
         if dec.matrix.shape != (m, width * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
-        first.append(len(shift))
-        shift += [start[x] - pos * width for pos, x in enumerate(ins)]
-    shift = np.array(shift, dtype=np.int64)
-    for f, lo, hi in zip(first, bounds, bounds[1:]):
-        col = read[lo:hi]
-        col += shift[f + col // width]  # the stacked row each decoder column reads
+        first.append(len(starts))
+        starts += map(start.__getitem__, ins)
+    starts, first = np.array(starts, dtype=np.int64), np.array(first, dtype=np.int64)
     count = len(first)  # every terminal has its decoder: order[:count] are the terminals
     n = bounds[count]
+    for a, b in _chunks(bounds[: count + 1]):
+        col = read[bounds[a] : bounds[b]]
+        bundle, col[:] = np.divmod(col, width)
+        bundle += np.repeat(first[a:b], np.diff(bounds[a : b + 1]))
+        col += starts[bundle]  # the stacked row each column reads
     return stacked, (order[:count], bounds[: count + 1], out[:n], read[:n], weight[:n])
 
 
@@ -266,19 +279,18 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     np.take(np.diff(heads), reads, out=size[1:], mode="clip")
     size = np.cumsum(size, out=size)[bounds]
     failures = []
-    a = 0
-    while a < len(terminals):
-        # A chunk is whole terminals whose products stay within _CHUNK, or one terminal.
-        b = max(a + 1, int(np.searchsorted(size, size[a] + _CHUNK, side="right")) - 1)
+    # A chunk counts each terminal's products and one more, so that a chunk
+    # of more than one terminal has at most _CHUNK of them.
+    for a, b in _chunks(size + np.arange(len(size))):
         lo, hi = bounds[a], bounds[b]
         first = heads[reads[lo:hi]]
         counts = heads[reads[lo:hi] + 1] - first
         # Join every decoder term with each term of the stacked row it reads.
         join = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(size[b] - size[a])
         # Key (terminal * m + row) * dim + coordinate, the terminal counted
-        # from a, is below (b - a) * m * dim: under _CHUNK * m when b - a > 1,
-        # else under m * dim <= width * dim, the size of one encoder, since
-        # width >= m lets the direct bundles carry a message.  So it fits int64.
+        # from a, is below (b - a) * m * dim <= _CHUNK * m * dim, and m * dim
+        # is at most width * dim, the size of one dense encoder, as the direct
+        # bundles carry a message only if width >= m.  So it fits int64.
         rows_in = np.repeat(np.arange(b - a) * m, np.diff(bounds[a : b + 1])) + out[lo:hi]
         keys = np.repeat(rows_in * dim, counts) + coords[join]
         # A key's run sums at most one product per decoder term of its row,
@@ -305,7 +317,6 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
                 unit = np.zeros(dim, dtype=np.int64)
                 unit[col] = 1
                 failures.append((terminals[a + t], _assignment(net, m, unit)))
-        a = b
     return VerifyReport(
         mode="exact-basis",
         ok=not failures,
