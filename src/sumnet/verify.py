@@ -16,9 +16,9 @@ coefficient 1 per slot it uses.  So a direct edge is one more bundle whose
 map is a selection.  Each decoder lists the stacked rows it reads.
 
 ``verify_exact`` is complete for the linear codes built here.  It takes
-consecutive whole terminals in chunks whose join products stay within
-``_CHUNK`` (or one terminal alone), joins every decoder term with each term
-of the stacked row it reads, and keys each product by (terminal, row,
+consecutive whole terminals in chunks of at most ``_CHUNK`` join products
+(a terminal with more is a chunk alone), joins every decoder term with each
+term of the stacked row it reads, and keys each product by (terminal, row,
 coordinate).  Sorting the keys and summing each run of equal keys gives
 every nonzero entry of each terminal's composite map; no dense composite
 is built.  The sums are exact in int64 and then reduced mod p: an entry
