@@ -29,9 +29,8 @@ A terminal fails where an entry differs from the all-ones block map
 its witness is the smallest such coordinate, the first column in which the
 two matrices differ.  Equality of those matrices is equivalent to correct
 decoding of every message tuple, so a passing report is a proof, not a
-sample.  Enumerating every message tuple
-is only the tests' ground truth for it, kept with their other references
-in ``tests/conftest.py``.
+sample.  Enumerating every message tuple is only the tests' ground truth
+for it, kept with their other references in ``tests/conftest.py``.
 
 ``verify_random`` re-checks by simulating topological edge propagation on
 pseudorandom messages; it exists as an independent cross-check and demo.
