@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import reference_export
+from conftest import codes_equal, reference_export
+from sumnet import codes
 from sumnet.cli import _detect_family
 from sumnet.codes import Decoder, NetworkCode, NoApplicableCode, export_code, import_code, lift_code
 from sumnet.gf import PrimeField
@@ -128,6 +129,22 @@ def ladder_code(name, orientation, char, alpha):
 def test_export_bytes_are_pinned(key):
     text = export_code(ladder_code(*key))
     assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]
+
+
+# Render group limits: each matrix alone, and every matrix of a code in one group.
+GROUPS = (1, 2**40)
+
+
+@pytest.mark.parametrize("key", list(LADDER), ids=lambda k: "-".join(map(str, k)))
+def test_exports_and_round_trips_do_not_depend_on_the_render_grouping(key):
+    code = ladder_code(*key)
+    for group in GROUPS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "_GROUP", group, raising=False)
+            text = export_code(code)
+            assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]
+            back = import_code(text)
+            assert codes_equal(back, code) and export_code(back) == text
 
 
 def random_graph(rng):
@@ -257,3 +274,30 @@ EXTREMES = np.array([EDGES, EDGES[::-1]], dtype=np.int64)
 }))
 def test_export_code_matches_the_reference_on_int64_entries(code):
     assert export_code(code) == reference_export(code)
+
+
+# Every signed entry type, at any value it holds (int64's down to -2^63),
+# including (m, 0) and (0, n) shapes.
+typed_matrices = st.sampled_from([np.int8, np.int16, np.int32, np.int64]).flatmap(
+    lambda dtype: arrays(dtype, st.tuples(st.integers(0, 4), st.integers(0, 6)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    encoders=st.lists(typed_matrices, max_size=4),
+    decoders=st.lists(typed_matrices, max_size=4),
+    group=st.sampled_from([*GROUPS, 7]),
+)
+@example(
+    encoders=[EXTREMES, np.zeros((3, 0), dtype=np.int8), np.array([[-128, 127, 0]], dtype=np.int8)],
+    decoders=[np.array([[-(2**15)], [2**15 - 1]], dtype=np.int16), EXTREMES.T.copy()],
+    group=2**40,
+)
+def test_grouped_rendering_matches_the_reference_on_mixed_entry_types(encoders, decoders, group):
+    code = NetworkCode(1, 1, 2, 1, len(encoders), 0, tuple(encoders), {
+        f"t{k}": Decoder(("e1",), mat) for k, mat in enumerate(decoders)
+    })
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_GROUP", group, raising=False)
+        assert export_code(code) == reference_export(code)

@@ -527,6 +527,20 @@ def test_import_memory_follows_each_matrix_entry_type():
     assert peak < 32 * 2**20
 
 
+def test_export_memory_is_bounded_by_twice_the_text():
+    # The sts-19 char-3 export is 15.5 MiB of text, held as its sections and
+    # as their join; rendering adds one group of matrices' text at a time.
+    code = generate_code(steiner_triple(19), "bibd", "normal", PrimeField(3))[0]
+    tracemalloc.start()
+    try:
+        text = export_code(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 15 * 2**20 < len(text) < 16 * 2**20
+    assert peak < 36 * 2**20
+
+
 def test_import_code_refuses_an_empty_matrix():
     # rows 1, m 1, n 1: encoder e1 needs one entry and its block holds no line.
     text = "sumnet-code v1\nm 1\nn 1\np 2\nalpha 1\nrows 1\ncols 0\nend\n"

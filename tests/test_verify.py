@@ -569,6 +569,29 @@ def test_exact_reports_do_not_depend_on_the_chunking(case, data):
     assert set(broken) <= {t for t, _ in reports[0].failures}
 
 
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(CHUNK_CASES), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_random_reports_do_not_depend_on_the_chunking(case, seed, data):
+    # The simulator's steps take whole stacked rows and whole terminals.
+    # One row or terminal per step and one step for all give the same
+    # report over two blocks of trials, the per-trial reference's.
+    net, code = chunk_code(*case)
+    broken = data.draw(
+        st.lists(st.sampled_from(sorted(code.decoders)), min_size=2, max_size=3, unique=True),
+        label="terminals",
+    )
+    bad = corrupt_entries(net, code, data)
+    for t in broken:
+        bad.decoders[t].matrix[data.draw(st.integers(0, code.m - 1), label="row")] = 0
+    reports = []
+    for step in (1, 2**40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_STEP", step, raising=False)
+            reports.append(verify_random(net, bad, 70, seed))
+    assert reports[0] == reports[1] == reference_random(net, bad, 70, seed)
+    assert set(broken) <= {t for t, _ in reports[0].failures}
+
+
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
     # The composite reaches (p-1)^2 times the decoder width before reduction.
