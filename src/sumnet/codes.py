@@ -34,16 +34,18 @@ int64 that holds p - 1, int8 for the scalar code at any p; ``lift_code``
 keeps the type, and the verifiers read every entry as int64.
 
 ``export_code`` alone defines the code file format: the header, then each
-matrix under its labels, each rendered to text in one vectorised numpy pass
-per digit position, then ``end``.  ``import_code`` requires the export of the
-code it reads, up to blank lines and trailing spaces, and checks the file
-against that export section by section, so it holds one matrix's text at a
-time.  Its entries lie in [0, 2^63 - 1): a code's lie below p <= 2^63 - 25,
-the largest prime below 2^63, and ``np.fromstring`` reads every larger value
-as 2^63 - 1.  Each matrix is stored in the narrowest of int8, int16, int32 and
-int64 that holds its own largest entry, so an imported code may mix types.
-The type follows the entry, not p: no entry wraps, and one of p or more
-keeps its value and reaches the verifiers' range refusal.
+matrix under its labels, then ``end``.  Consecutive matrices are rendered to
+text in groups of at most ``_GROUP`` entries (a larger matrix alone), one
+vectorised numpy pass per digit position for the whole group.
+``import_code`` requires the export of the code it reads, up to blank lines
+and trailing spaces, and checks the file against that export section by
+section, so it holds one group's text at a time.  Its entries lie in
+[0, 2^63 - 1): a code's lie below p <= 2^63 - 25, the largest prime below
+2^63, and ``np.fromstring`` reads every larger value as 2^63 - 1.  Each
+matrix is stored in the narrowest of int8, int16, int32 and int64 that
+holds its own largest entry, so an imported code may mix types.  The type
+follows the entry, not p: no entry wraps, and one of p or more keeps its
+value and reaches the verifiers' range refusal.
 """
 
 from __future__ import annotations
@@ -416,55 +418,85 @@ def lift_code(code: NetworkCode, alpha: int) -> NetworkCode:
 _HEADER = ("m", "n", "p", "alpha", "rows", "cols")
 _POWERS = 10 ** np.arange(1, 19, dtype=np.uint64)  # 10 .. 10^18; |int64| <= 2^63 < 10^19
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+_GROUP = 1 << 16  # entries rendered at once, unless one matrix alone has more
 
 
-def _render(matrix: np.ndarray) -> bytes:
-    """A matrix's rows as ``" ".join(map(str, row)) + "\\n"`` for any signed integer entries.
+def _chunks(ends: np.ndarray, limit: int):
+    """Ranges [a, b) of consecutive whole items whose sizes, cumulated in
+    ``ends`` (ends[k] sums the sizes of items 0..k-1), add up to at most
+    ``limit``, or one item alone: they bound the temporaries of a step."""
+    a = 0
+    while a < len(ends) - 1:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + limit, side="right")) - 1)
+        yield a, b
+        a = b
+
+
+def _render(matrices: Sequence[np.ndarray]) -> list[str]:
+    """Each matrix's rows as ``" ".join(map(str, row)) + "\\n"`` for any signed
+    integer entries, the group's entries rendered together.
 
     Every entry starts as the text "0" and its separator, a newline at the
-    end of a row.  A nonzero entry is widened by its sign and its digits
-    beyond the first; then the signs, and the digits one pass per digit
-    position, least significant first, are scattered in.
+    end of a row of its matrix.  A nonzero entry is widened by its sign and
+    its digits beyond the first; then the signs, and the digits one pass per
+    digit position, least significant first, are scattered in.  A matrix's
+    text starts two bytes per earlier entry, and the widening of the earlier
+    nonzero entries, into the group's; a matrix alone is the group's text.
     """
-    rows, cols = matrix.shape
-    if not matrix.size:
-        return b"\n" * rows
-    flat = matrix.ravel()
+    starts = np.cumsum([0] + [mat.size for mat in matrices])
+    flat = np.concatenate([mat.ravel() for mat in matrices])
     nonzero = np.flatnonzero(flat)
     negative = flat[nonzero] < 0
     mag = flat[nonzero].astype(np.uint64)
     np.negative(mag, out=mag, where=negative)  # in uint64, so |-2^63| = 2^63
+    del flat  # a copy of the group's entries, as wide as the widest of them
     extra = negative.astype(np.int64)  # each nonzero entry's width beyond one digit
     for power in _POWERS:
         longer = mag >= power
         if not longer.any():
             break
         extra += longer
-    text = np.full((rows, cols, 2), ord("0"), dtype=np.uint8)
-    text[:, :, 1] = ord(" ")
-    text[:, -1, 1] = ord("\n")
-    out = np.insert(text.ravel(), np.repeat(2 * nonzero, extra), ord("0"))
-    last = 2 * nonzero + np.cumsum(extra)  # the lowest digit of each nonzero entry
+    text = np.full((starts[-1], 2), ord("0"), dtype=np.uint8)
+    text[:, 1] = ord(" ")
+    widths = np.repeat([mat.shape[1] for mat in matrices], [mat.shape[0] for mat in matrices])
+    text[np.cumsum(widths[widths > 0]) - 1, 1] = ord("\n")
+    out = text.ravel()
+    if extra.any():
+        out = np.insert(out, np.repeat(2 * nonzero, extra), ord("0"))
+    del text
+    widened = np.cumsum(extra)
+    last = 2 * nonzero + widened  # the lowest digit of each nonzero entry
     out[(last - extra)[negative]] = ord("-")
+    bounds = 2 * starts + np.append(0, widened)[np.searchsorted(nonzero, starts)]
     while mag.size:
         mag, digit = np.divmod(mag, np.uint64(10))
         out[last] = _DIGITS[digit]
         alive = np.flatnonzero(mag)
         mag, last = mag[alive], last[alive] - 1
-    return out.tobytes()
+    group = str(out, "ascii")  # decoded from the array's buffer, with no bytes copy
+    del out
+    return [
+        group[a:b] if mat.shape[1] else "\n" * mat.shape[0]
+        for mat, a, b in zip(matrices, bounds, bounds[1:])
+    ]
 
 
 def _sections(code: NetworkCode) -> Iterator[str]:
     """A code's file in sections: the header, each matrix under its labels, then "end".
 
-    The format's one definition, one matrix's text at a time.
+    The format's one definition.  The matrices, encoders and then decoders
+    in sorted order, are rendered in groups of consecutive ones holding at
+    most ``_GROUP`` entries together, or one larger matrix alone.
     """
     yield "sumnet-code v1\n" + "".join(f"{key} {getattr(code, key)}\n" for key in _HEADER)
-    for i, enc in enumerate(code.encoders, start=1):
-        yield f"encoder e{i}\n" + _render(enc).decode("ascii")
+    labels = [f"encoder e{i}\n" for i in range(1, len(code.encoders) + 1)]
+    matrices = list(code.encoders)
     for t, dec in sorted(code.decoders.items()):
-        labels = f"decoder {t}\ninputs {' '.join(dec.inputs)}\n"
-        yield labels + _render(dec.matrix).decode("ascii")
+        labels.append(f"decoder {t}\ninputs {' '.join(dec.inputs)}\n")
+        matrices.append(dec.matrix)
+    for a, b in _chunks(np.cumsum([0] + [mat.size for mat in matrices]), _GROUP):
+        for label, text in zip(labels[a:b], _render(matrices[a:b])):
+            yield label + text
     yield "end\n"
 
 
@@ -492,7 +524,7 @@ def _parse_matrix(lines: Sequence[str], shape: tuple[int, int], name: str) -> np
 def _first_difference(lines: Sequence[str], code: NetworkCode) -> Optional[int]:
     """Index of the first line that differs from the code's export, or None.
 
-    The export is rendered and compared one section at a time.
+    The export is compared one section at a time, rendered a group at a time.
     """
     pos = 0
     for section in _sections(code):

@@ -43,13 +43,16 @@ rest reduced mod p).
 
 The simulation takes blocks of up to 64 trials at once, trials-major: one
 message vector per row of a (T x dim) block.  It applies the stacked
-bundle map, one bottleneck's rows at a time and then the direct rows, and
-then each decoder: each is one gather of the values its terms read, one
-multiplication by their coefficients and one sum per row.  A term sum has
-at most ``inner`` products, each below (p-1)^2, so ``_check``'s int64
-limit covers it unreduced.  Taking one bottleneck or terminal at a time
-bounds peak memory by the block and the largest term list, not by the
-trial count, and every report lists its failures in (trial, terminal) order.
+bundle map in chunks of whole rows and then the decoders in chunks of
+whole terminals, each chunk holding at most ``_STEP`` terms (a row or
+terminal with more is a chunk alone); a step is one gather of the values
+its terms read, one multiplication by their coefficients and one sum per
+row.  A term sum has at most ``inner`` products, each below (p-1)^2, so
+``_check``'s int64 limit covers it unreduced.  A step's temporaries hold
+at most 64 trials of ``_STEP`` terms, 256 KiB of int64, or of the largest
+row or terminal, so peak memory grows with neither the trial count nor the
+number of terminals, and every report lists its failures in (trial,
+terminal) order.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import NetworkCode
+from .codes import NetworkCode, _chunks
 from .gf import is_prime
 from .network import SumNetwork, feeding_columns
 
@@ -68,6 +71,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 64  # trials simulated per block
 _CHUNK = 1 << 12  # decoder terms or join products a step takes at once (see _chunks)
+_STEP = 1 << 9  # terms a simulation step takes at once: 64 trials of them are 256 KiB
 
 
 def _draws(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -129,17 +133,6 @@ def _entries(mat: np.ndarray):
     mask is several times faster than a 2-D np.nonzero."""
     flat = np.flatnonzero(mat != 0)
     return *np.divmod(flat, mat.shape[1]), np.take(mat, flat).astype(np.int64)
-
-
-def _chunks(ends: np.ndarray):
-    """Ranges [a, b) of consecutive whole terminals whose counts, cumulated
-    in ``ends`` (ends[t] counts terminals 0..t-1), add up to at most _CHUNK,
-    or one terminal alone: they bound the temporaries of a step."""
-    a = 0
-    while a < len(ends) - 1:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _CHUNK, side="right")) - 1)
-        yield a, b
-        a = b
 
 
 def _check(net: SumNetwork, code: NetworkCode):
@@ -253,7 +246,7 @@ def _check(net: SumNetwork, code: NetworkCode):
     starts, first = np.array(starts, dtype=np.int64), np.array(first, dtype=np.int64)
     count = len(first)  # every terminal has its decoder: order[:count] are the terminals
     n = bounds[count]
-    for a, b in _chunks(bounds[: count + 1]):
+    for a, b in _chunks(bounds[: count + 1], _CHUNK):
         col = read[bounds[a] : bounds[b]]
         bundle, col[:] = np.divmod(col, width)
         bundle += np.repeat(first[a:b], np.diff(bounds[a : b + 1]))
@@ -280,7 +273,7 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     failures = []
     # A chunk counts each terminal's products and one more, so that a chunk
     # of more than one terminal has at most _CHUNK of them.
-    for a, b in _chunks(size + np.arange(len(size))):
+    for a, b in _chunks(size + np.arange(len(size)), _CHUNK):
         lo, hi = bounds[a], bounds[b]
         first = heads[reads[lo:hi]]
         counts = heads[reads[lo:hi] + 1] - first
@@ -345,19 +338,26 @@ def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
     every terminal, and collect (terminal, witness) for every terminal that
     misses the sum, in (message, terminal) order.
 
-    A block is simulated trials-major through ``_check``'s term lists: the
-    stacked bundle map one bottleneck's rows at a time and then the direct
-    rows, into stacked values allocated once per call, where the rows
-    without terms stay zero, and then one decoder at a time.
+    A block is simulated trials-major through ``_check``'s term lists in
+    steps of at most ``_STEP`` terms: the stacked bundle map a chunk of whole
+    rows at a time, into stacked values allocated once per call, where the
+    rows without terms stay zero, and then the decoders a chunk of whole
+    terminals at a time, terminal t's row i decoded as row t*m + i of the
+    chunk.  A terminal also counts its m decoded symbols toward the limit.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
     (rows, coords, coefs), (terminals, bounds, out, reads, coef) = terms
-    cuts = list(np.searchsorted(rows, np.arange(net.r + 1) * width)) + [len(rows)]
-    bundles = [_runs(rows[a:b], coords[a:b], coefs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    decoders = [
-        (t, _runs(out[lo:hi], reads[lo:hi], coef[lo:hi]))
-        for t, lo, hi in zip(terminals, bounds, bounds[1:])
-    ]
+    # Each stacked row's first term, as rows is sorted, and the end of the last.
+    heads = np.append(np.unique(rows, return_index=True)[1], len(rows))
+    bundles = []
+    for a, b in _chunks(heads, _STEP):
+        lo, hi = heads[a], heads[b]
+        bundles.append(_runs(rows[lo:hi], coords[lo:hi], coefs[lo:hi]))
+    decoders = []
+    for a, b in _chunks(bounds + m * np.arange(len(bounds)), _STEP):
+        lo, hi = bounds[a], bounds[b]
+        row = np.repeat(np.arange(b - a) * m, np.diff(bounds[a : b + 1])) + out[lo:hi]
+        decoders.append((a, b, _runs(row, reads[lo:hi], coef[lo:hi])))
     failures = []
     values = np.zeros((_BLOCK, (2 * net.r + net.c) * width), dtype=np.int64)
     for x in blocks:
@@ -366,13 +366,13 @@ def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
         want = x.reshape(trials, net.r + net.c, m).sum(axis=1) % p
         for bundle in bundles:
             _apply(bundle, x, p, values[:trials])
-        missed = np.empty((trials, len(decoders)), dtype=bool)
-        for pos, (_, dec) in enumerate(decoders):
-            got = np.zeros_like(want)
-            _apply(dec, values[:trials], p, got)
-            missed[:, pos] = (got != want).any(axis=1)
+        missed = np.empty((trials, len(terminals)), dtype=bool)
+        for a, b, dec in decoders:
+            got = np.zeros((trials, b - a, m), dtype=np.int64)
+            _apply(dec, values[:trials], p, got.reshape(trials, -1))
+            np.any(got != want[:, None], axis=2, out=missed[:, a:b])
         for trial, pos in zip(*np.nonzero(missed)):
-            failures.append((decoders[pos][0], _assignment(net, m, x[trial])))
+            failures.append((terminals[pos], _assignment(net, m, x[trial])))
     return failures
 
 

@@ -140,7 +140,7 @@ def test_exports_and_round_trips_do_not_depend_on_the_render_grouping(key):
     code = ladder_code(*key)
     for group in GROUPS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(codes, "_GROUP", group, raising=False)
+            patch.setattr(codes, "_GROUP", group)
             text = export_code(code)
             assert hashlib.sha256(text.encode()).hexdigest() == LADDER[key]
             back = import_code(text)
@@ -299,5 +299,9 @@ def test_grouped_rendering_matches_the_reference_on_mixed_entry_types(encoders, 
         f"t{k}": Decoder(("e1",), mat) for k, mat in enumerate(decoders)
     })
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codes, "_GROUP", group, raising=False)
+        patch.setattr(codes, "_GROUP", group)
         assert export_code(code) == reference_export(code)
+    if encoders + decoders:  # _render takes a group of one matrix or more
+        want = ["".join(" ".join(map(str, row)) + "\n" for row in mat.tolist())
+                for mat in encoders + decoders]
+        assert codes._render(encoders + decoders) == want

@@ -586,7 +586,7 @@ def test_random_reports_do_not_depend_on_the_chunking(case, seed, data):
     reports = []
     for step in (1, 2**40):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_STEP", step, raising=False)
+            patch.setattr(verify, "_STEP", step)
             reports.append(verify_random(net, bad, 70, seed))
     assert reports[0] == reports[1] == reference_random(net, bad, 70, seed)
     assert set(broken) <= {t for t, _ in reports[0].failures}
@@ -617,8 +617,8 @@ def test_simulated_sums_stay_exact_at_the_int64_limit(alpha):
 
 def test_simulation_memory_is_bounded_by_the_block():
     # 250 trials on the 65-terminal network: four blocks of 64, each
-    # decoded terminal by terminal, so the traced peak does not grow with
-    # the trial count or the number of terminals.
+    # decoded a chunk of terminals at a time, so the traced peak does not
+    # grow with the trial count or the number of terminals.
     family, build = INSTANCES["star-composite"]
     code, _ = generate_code(build(), family, "transpose", PrimeField(5))
     net = build_sum_network(orient_matrix(build(), "transpose"))
