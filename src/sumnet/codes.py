@@ -456,14 +456,12 @@ def _render(matrices: Sequence[np.ndarray]) -> list[str]:
         if not longer.any():
             break
         extra += longer
-    text = np.full((starts[-1], 2), ord("0"), dtype=np.uint8)
-    text[:, 1] = ord(" ")
+    out = np.full(2 * starts[-1], ord("0"), dtype=np.uint8)
+    out[1::2] = ord(" ")
     widths = np.repeat([mat.shape[1] for mat in matrices], [mat.shape[0] for mat in matrices])
-    text[np.cumsum(widths[widths > 0]) - 1, 1] = ord("\n")
-    out = text.ravel()
+    out[2 * np.cumsum(widths[widths > 0]) - 1] = ord("\n")
     if extra.any():
         out = np.insert(out, np.repeat(2 * nonzero, extra), ord("0"))
-    del text
     widened = np.cumsum(extra)
     last = 2 * nonzero + widened  # the lowest digit of each nonzero entry
     out[(last - extra)[negative]] = ord("-")
