@@ -592,6 +592,33 @@ def test_random_reports_do_not_depend_on_the_chunking(case, seed, data):
     assert set(broken) <= {t for t, _ in reports[0].failures}
 
 
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("case", CHUNK_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_verifiers_read_all_zero_matrices_at_either_end(case, end):
+    # An all-zero encoder leaves its stacked rows without terms, and an
+    # all-zero decoder its terminal's rows: empty rows at the first or the
+    # last row start, where np.add.reduceat returns a neighbour's term
+    # instead of 0.  One row or terminal per step and one step for all give
+    # the references' reports, and the zeroed terminal fails.
+    net, code = chunk_code(*case)
+    terminal = net.terminals()[end]
+    encoders = [e.copy() for e in code.encoders]
+    encoders[end][:] = 0
+    decoders = {t: Decoder(d.inputs, d.matrix.copy()) for t, d in code.decoders.items()}
+    decoders[terminal].matrix[:] = 0
+    bad = NetworkCode(code.m, code.n, code.p, code.alpha, code.rows, code.cols,
+                      tuple(encoders), decoders)
+    exact, simulated = python_int_failures(net, bad), reference_random(net, bad, 70, 1)
+    for limit in (1, 2**40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_CHUNK", limit)
+            patch.setattr(verify, "_STEP", limit)
+            assert list(verify_exact(net, bad).failures) == exact
+            assert verify_random(net, bad, 70, 1) == simulated
+    assert terminal in {t for t, _ in exact}
+    assert terminal in {t for t, _ in simulated.failures}
+
+
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_exact_sums_stay_exact_at_the_int64_limit(alpha):
     # The composite reaches (p-1)^2 times the decoder width before reduction.
