@@ -3,17 +3,19 @@
 Both verifiers, ``verify_exact`` and ``verify_random``, admit a code
 through one gate, ``_check``, which refuses it with a ``ValueError`` naming
 the first fault found.  It is also the only place that reads a code's
-matrices: it reads each one whole, once, as its list of nonzero terms, so
-every nonzero entry is a term, and both verifiers work on those lists.  A
-term's coefficient is read as int64 whatever signed type the matrix is
-stored in, so the int64 limit below holds for a code of any entry type.
-The codes are almost all zero, so a list is short.  The stacked bundle map
-lists, for every row of the bottlenecks e1..er and then of one direct
-bundle per source, each alpha*n rows, the message coordinates it reads and
-their coefficients.  An encoder contributes its nonzero entries, and a
-direct edge, which carries its source's message uncoded, one term of
+matrices: one scan, ``_scan``, reads each encoder and decoder whole, once,
+so every nonzero entry is a term.  A term's coefficient is read as int64
+whatever signed type the matrix is stored in, so the int64 limit below
+holds for a code of any entry type.  The codes are almost all zero, so a
+term list is short.  Each holds row starts, row j's terms running from start
+j to start j + 1, and each term's value read and coefficient.  The stacked
+bundle map lists, for every row of the bottlenecks e1..er and then of one
+direct bundle per source, each alpha*n rows, the message coordinates it
+reads and their coefficients.  An encoder contributes its nonzero entries,
+and a direct edge, which carries its source's message uncoded, one term of
 coefficient 1 per slot it uses.  So a direct edge is one more bundle whose
-map is a selection.  Each decoder lists the stacked rows it reads.
+map is a selection.  The decoders list the stacked rows they read, terminal
+t's row i as decoded row t*m + i.
 
 ``verify_exact`` is complete for the linear codes built here.  It takes
 consecutive whole terminals in chunks of at most ``_CHUNK`` join products
@@ -42,17 +44,17 @@ rejection sampling (values at or above floor(2^64/p)*p are discarded, the
 rest reduced mod p).
 
 The simulation takes blocks of up to 64 trials at once, trials-major: one
-message vector per row of a (T x dim) block.  It applies the stacked
-bundle map in chunks of whole rows and then the decoders in chunks of
-whole terminals, each chunk holding at most ``_STEP`` terms (a row or
-terminal with more is a chunk alone); a step is one gather of the values
-its terms read, one multiplication by their coefficients and one sum per
-row.  A term sum has at most ``inner`` products, each below (p-1)^2, so
-``_check``'s int64 limit covers it unreduced.  A step's temporaries hold
-at most 64 trials of ``_STEP`` terms, 256 KiB of int64, or of the largest
-row or terminal, so peak memory grows with neither the trial count nor the
-number of terminals, and every report lists its failures in (trial,
-terminal) order.
+message vector per row of a (T x dim) block.  It applies the stacked bundle
+map in chunks of whole rows and then the decoders in chunks of whole
+terminals, each chunk holding at most ``_STEP`` terms (a row or terminal
+with more is a chunk alone), and one ``_apply`` takes a step of either: one
+gather of the values its terms read, one multiplication by their
+coefficients and one sum per row that has terms.  A term sum has at most
+``inner`` products, each below (p-1)^2, so ``_check``'s int64 limit covers
+it unreduced.  A step's temporaries hold at most 64 trials of ``_STEP``
+terms, 256 KiB of int64, or of the largest row or terminal, so peak memory
+grows with neither the trial count nor the number of terminals, and every
+report lists its failures in (trial, terminal) order.
 """
 
 from __future__ import annotations
@@ -127,12 +129,20 @@ class VerifyReport:
     seed: Optional[int] = None
 
 
-def _entries(mat: np.ndarray):
-    """The row, column and value of each nonzero entry, row-major, the value
-    as int64 whatever the matrix's signed type.  A flat scan of a boolean
-    mask is several times faster than a 2-D np.nonzero."""
-    flat = np.flatnonzero(mat != 0)
-    return *np.divmod(flat, mat.shape[1]), np.take(mat, flat).astype(np.int64)
+def _scan(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero entry of the matrices stacked top to bottom, row-major:
+    its row in the stack, its column and its value, the value as int64
+    whatever the matrix's signed type.  A flat scan of a boolean mask is
+    several times faster than a 2-D np.nonzero."""
+    found = [np.flatnonzero(mat != 0) for mat in mats]
+    ends = np.cumsum([0] + [len(flat) for flat in found])
+    tops = np.cumsum([0] + [mat.shape[0] for mat in mats])
+    row, col, value = (np.empty(ends[-1], dtype=np.int64) for _ in range(3))
+    for mat, flat, top, lo, hi in zip(mats, found, tops, ends, ends[1:]):
+        np.divmod(flat, mat.shape[1], out=(row[lo:hi], col[lo:hi]))
+        row[lo:hi] += top
+        value[lo:hi] = np.take(mat, flat)
+    return row, col, value
 
 
 def _check(net: SumNetwork, code: NetworkCode):
@@ -140,11 +150,11 @@ def _check(net: SumNetwork, code: NetworkCode):
 
     In order: shapes, encoder count and alpha, the int64 limit, primality,
     the entry range, encoder locality, then each decoder's inputs and shape.
-    This is the only reader of a code's matrices.  It returns them as term
-    lists, each held row-major as arrays of (row, value read, coefficient):
-    the stacked bundle map, whose terms read message coordinates, and every
-    decoder's, whose terms read stacked rows, joined in terminal order and
-    returned with the terminals and the bounds of each one's terms.  The
+    This is the only reader of a code's matrices.  It returns two term
+    lists, each as row starts, the value each term reads and its
+    coefficient: the stacked bundle map, whose terms read message
+    coordinates, and the terminals' decoders, whose terms read stacked rows,
+    with the terminals.  Terminal t's row i is decoded row t*m + i.  The
     stacked rows are bottlenecks e1..er, then one direct bundle per source
     in message order, each alpha*n rows.  An encoder's terms are all its
     nonzero entries, and the locality check finds each among the sources
@@ -181,23 +191,11 @@ def _check(net: SumNetwork, code: NetworkCode):
     # Over Z/p with p not prime (p = 1 makes every map zero) a passing check proves nothing.
     if not is_prime(code.p):
         raise ValueError(f"characteristic p={code.p} is not a prime: codes are checked over GF(p)")
-    parts = []  # each encoder's terms: (stacked row, coordinate read, coefficient)
-    for i, enc in enumerate(code.encoders):
-        row, k, coef = _entries(enc)
-        parts.append((row + i * width, k, coef))
-    row, k, coef = map(np.concatenate, zip(*parts))
-    # The decoders' terms go straight into one array each, the network's
-    # terminals in order and then any other decoder, so none is held twice.
+    row, k, coef = _scan(code.encoders)  # stacked row, coordinate read, coefficient
+    # The decoders' terms: the network's terminals in order, then any other decoder.
     order = [t for t in net.inputs if t in code.decoders]
     order += [t for t in code.decoders if t not in net.inputs]
-    found = [np.flatnonzero(code.decoders[t].matrix != 0) for t in order]
-    bounds = np.cumsum([0] + [len(flat) for flat in found])
-    out, read, weight = (np.empty(bounds[-1], dtype=np.int64) for _ in range(3))
-    for t, flat, lo, hi in zip(order, found, bounds, bounds[1:]):
-        mat = code.decoders[t].matrix
-        np.divmod(flat, mat.shape[1], out=(out[lo:hi], read[lo:hi]))  # row, column
-        weight[lo:hi] = np.take(mat, flat)
-    del found
+    out, read, weight = _scan([code.decoders[t].matrix for t in order])
     # The int64 limit above holds only for entries reduced mod p.  The range
     # and then the locality are each decided once over all the terms; a
     # refusal names the first matrix at fault, encoders before decoders and
@@ -209,7 +207,8 @@ def _check(net: SumNetwork, code: NetworkCode):
     outside = (weight < 0) | (weight >= code.p)
     if outside.any():
         rank = {t: pos for pos, t in enumerate(code.decoders)}
-        owners = np.searchsorted(bounds, np.flatnonzero(outside), side="right") - 1
+        tops = np.cumsum([code.decoders[t].matrix.shape[0] for t in order])
+        owners = np.searchsorted(tops, out[outside], side="right")
         t = min((order[o] for o in np.unique(owners)), key=rank.__getitem__)
         raise ValueError(f"decoder for {t} has an entry outside [0, {code.p})")
     # fed[i, s]: source s feeds e<i+1>; with m = 1 the feeding columns are the sources.
@@ -222,8 +221,11 @@ def _check(net: SumNetwork, code: NetworkCode):
         raise ValueError(f"encoder e{i} uses a message outside the sources feeding it")
     slots = np.arange((net.r + net.c) * width).reshape(-1, code.alpha, code.n) + net.r * width
     direct = slots[:, :, : m // code.alpha].ravel()  # carry coordinates 0, 1, ..., dim - 1
+    # The row starts: stacked row s's terms run from start s to start s + 1.
+    sizes = np.bincount(row, minlength=(2 * net.r + net.c) * width)
+    sizes[direct] = 1
     stacked = (
-        np.concatenate([row, direct]),
+        np.append(0, np.cumsum(sizes)),
         np.concatenate([k, np.arange(dim)]),
         np.concatenate([coef, np.ones(dim, dtype=np.int64)]),
     )
@@ -231,7 +233,7 @@ def _check(net: SumNetwork, code: NetworkCode):
     start = {label: k * width for k, label in enumerate(labels)}
     # The first stacked row of every input of every terminal in turn;
     # first[t] is terminal t's first input.
-    starts, first = [], []
+    inputs, first = [], []
     for terminal, ins in net.inputs.items():
         if terminal not in code.decoders:
             raise ValueError(f"no decoder for terminal {terminal}")
@@ -241,17 +243,19 @@ def _check(net: SumNetwork, code: NetworkCode):
             raise ValueError(f"decoder for {terminal} reads {dec.inputs}, expected {expected}")
         if dec.matrix.shape != (m, width * len(expected)):
             raise ValueError(f"decoder for {terminal} has shape {dec.matrix.shape}")
-        first.append(len(starts))
-        starts += map(start.__getitem__, ins)
-    starts, first = np.array(starts, dtype=np.int64), np.array(first, dtype=np.int64)
+        first.append(len(inputs))
+        inputs += map(start.__getitem__, ins)
+    inputs, first = np.array(inputs, dtype=np.int64), np.array(first, dtype=np.int64)
     count = len(first)  # every terminal has its decoder: order[:count] are the terminals
-    n = bounds[count]
-    for a, b in _chunks(bounds[: count + 1], _CHUNK):
-        col = read[bounds[a] : bounds[b]]
+    # The row starts of the decoded rows, terminal t's terms from start t*m.
+    starts = np.append(0, np.cumsum(np.bincount(out, minlength=count * m)[: count * m]))
+    for a, b in _chunks(starts[::m], _CHUNK):
+        lo, hi = starts[a * m], starts[b * m]
+        col = read[lo:hi]
         bundle, col[:] = np.divmod(col, width)
-        bundle += np.repeat(first[a:b], np.diff(bounds[a : b + 1]))
-        col += starts[bundle]  # the stacked row each column reads
-    return stacked, (order[:count], bounds[: count + 1], out[:n], read[:n], weight[:n])
+        bundle += first[out[lo:hi] // m]
+        col += inputs[bundle]  # the stacked row each column reads
+    return stacked, (order[:count], starts, read[: starts[-1]], weight[: starts[-1]])
 
 
 def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
@@ -260,31 +264,30 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     ok means every terminal's composite map equals the sum map, i.e. the
     code is correct for all q^(m(r+c)) messages.
     """
-    (rows, coords, coefs), (terminals, bounds, out, reads, coef) = _check(net, code)
+    (heads, coords, coefs), (terminals, starts, reads, coef) = _check(net, code)
     p, m, dim = code.p, code.m, code.m * (net.r + net.c)
-    # Stacked row s's terms are rows[heads[s]:heads[s + 1]], as rows is sorted.
-    heads = np.searchsorted(rows, np.arange((2 * net.r + net.c) * code.alpha * code.n + 1))
-    # The products of the terminals before each one: decoder term j joins
-    # the terms of stacked row reads[j].  (Every read is a stacked row, and
-    # take copies its output once more unless it may clip.)
+    # The products before each decoded row: decoder term j joins the terms
+    # of stacked row reads[j].  (Every read is a stacked row, and take
+    # copies its output once more unless it may clip.)
     size = np.zeros(len(reads) + 1, dtype=np.int64)
     np.take(np.diff(heads), reads, out=size[1:], mode="clip")
-    size = np.cumsum(size, out=size)[bounds]
+    size = np.cumsum(size, out=size)[starts]
     failures = []
     # A chunk counts each terminal's products and one more, so that a chunk
     # of more than one terminal has at most _CHUNK of them.
-    for a, b in _chunks(size + np.arange(len(size)), _CHUNK):
-        lo, hi = bounds[a], bounds[b]
+    for a, b in _chunks(size[::m] + np.arange(len(terminals) + 1), _CHUNK):
+        lo, hi = starts[a * m], starts[b * m]
         first = heads[reads[lo:hi]]
         counts = heads[reads[lo:hi] + 1] - first
         # Join every decoder term with each term of the stacked row it reads.
-        join = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(size[b] - size[a])
+        join = np.repeat(first - np.cumsum(counts) + counts, counts)
+        join += np.arange(len(join))
         # Key (terminal * m + row) * dim + coordinate, the terminal counted
         # from a, is below (b - a) * m * dim <= _CHUNK * m * dim, and m * dim
         # is at most width * dim, the size of one dense encoder, as the direct
         # bundles carry a message only if width >= m.  So it fits int64.
-        rows_in = np.repeat(np.arange(b - a) * m, np.diff(bounds[a : b + 1])) + out[lo:hi]
-        keys = np.repeat(rows_in * dim, counts) + coords[join]
+        keys = np.repeat(np.arange((b - a) * m) * dim, np.diff(size[a * m : b * m + 1]))
+        keys += coords[join]
         # A key's run sums at most one product per decoder term of its row,
         # each at most (p-1)^2, so _check's int64 limit covers it unreduced.
         values = np.repeat(coef[lo:hi], counts) * coefs[join]
@@ -304,8 +307,8 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
             wrong = np.union1d(wrong, np.setdiff1d(target, keys[ones], assume_unique=True))
             # Each failing terminal's witness is its smallest coordinate that differs.
             terminal, coordinate = wrong // (m * dim), wrong % dim
-            starts = np.flatnonzero(np.diff(terminal, prepend=-1))
-            for t, col in zip(terminal[starts], np.minimum.reduceat(coordinate, starts)):
+            firsts = np.flatnonzero(np.diff(terminal, prepend=-1))
+            for t, col in zip(terminal[firsts], np.minimum.reduceat(coordinate, firsts)):
                 unit = np.zeros(dim, dtype=np.int64)
                 unit[col] = 1
                 failures.append((terminals[a + t], _assignment(net, m, unit)))
@@ -317,20 +320,23 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     )
 
 
-def _runs(rows: np.ndarray, reads: np.ndarray, coef: np.ndarray):
-    """A row-major term list as ``_apply`` reads it: the rows that have
-    terms, the start of each one's run, the values read and coefficients."""
-    out, heads = np.unique(rows, return_index=True)
-    return out, heads, reads, coef
+def _steps(starts: np.ndarray, ends: np.ndarray, size: int):
+    """``_chunks``' ranges [a, b) of items of ``size`` rows as ``_apply`` takes
+    them: a, b, the rows with terms, counted from row a*size, and their starts
+    then the end (np.add.reduceat would give an empty row the next one's term)."""
+    for a, b in _chunks(ends, _STEP):
+        chunk = starts[a * size : b * size + 1]
+        rows = np.flatnonzero(np.diff(chunk))
+        yield a, b, rows, np.append(chunk[rows], chunk[-1])
 
 
-def _apply(terms, values: np.ndarray, p: int, out: np.ndarray) -> None:
-    """Write each row's term sum over a trials-major block of values, mod p,
-    to that row of ``out``; rows without terms are left as they are."""
-    rows, heads, reads, coef = terms
-    products = np.take(values, reads, axis=1)
-    products *= coef
-    out[:, rows] = np.add.reduceat(products, heads, axis=1) % p
+def _apply(rows, starts, reads, coef, values: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write the term sum of each of ``rows`` over a trials-major block of
+    values, mod p, to that column of ``out``: row rows[j]'s terms are those
+    from starts[j] to starts[j + 1] of reads and coef."""
+    products = np.take(values, reads[starts[0] : starts[-1]], axis=1)
+    products *= coef[starts[0] : starts[-1]]
+    out[:, rows] = np.add.reduceat(products, starts[:-1] - starts[0], axis=1) % p
 
 
 def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
@@ -346,30 +352,21 @@ def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
     chunk.  A terminal also counts its m decoded symbols toward the limit.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
-    (rows, coords, coefs), (terminals, bounds, out, reads, coef) = terms
-    # Each stacked row's first term, as rows is sorted, and the end of the last.
-    heads = np.append(np.unique(rows, return_index=True)[1], len(rows))
-    bundles = []
-    for a, b in _chunks(heads, _STEP):
-        lo, hi = heads[a], heads[b]
-        bundles.append(_runs(rows[lo:hi], coords[lo:hi], coefs[lo:hi]))
-    decoders = []
-    for a, b in _chunks(bounds + m * np.arange(len(bounds)), _STEP):
-        lo, hi = bounds[a], bounds[b]
-        row = np.repeat(np.arange(b - a) * m, np.diff(bounds[a : b + 1])) + out[lo:hi]
-        decoders.append((a, b, _runs(row, reads[lo:hi], coef[lo:hi])))
+    (heads, coords, coefs), (terminals, starts, reads, coef) = terms
+    bundles = list(_steps(heads, heads, 1))
+    decoders = list(_steps(starts, starts[::m] + m * np.arange(len(terminals) + 1), m))
     failures = []
     values = np.zeros((_BLOCK, (2 * net.r + net.c) * width), dtype=np.int64)
     for x in blocks:
         x = np.ascontiguousarray(x.T)
         trials = len(x)
         want = x.reshape(trials, net.r + net.c, m).sum(axis=1) % p
-        for bundle in bundles:
-            _apply(bundle, x, p, values[:trials])
+        for a, b, rows, step in bundles:
+            _apply(rows, step, coords, coefs, x, p, values[:trials, a:b])
         missed = np.empty((trials, len(terminals)), dtype=bool)
-        for a, b, dec in decoders:
+        for a, b, rows, step in decoders:
             got = np.zeros((trials, b - a, m), dtype=np.int64)
-            _apply(dec, values[:trials], p, got.reshape(trials, -1))
+            _apply(rows, step, reads, coef, values[:trials], p, got.reshape(trials, -1))
             np.any(got != want[:, None], axis=2, out=missed[:, a:b])
         for trial, pos in zip(*np.nonzero(missed)):
             failures.append((terminals[pos], _assignment(net, m, x[trial])))
