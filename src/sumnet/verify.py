@@ -141,7 +141,7 @@ def _scan(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for mat, flat, top, lo, hi in zip(mats, found, tops, ends, ends[1:]):
         np.divmod(flat, mat.shape[1], out=(row[lo:hi], col[lo:hi]))
         row[lo:hi] += top
-        value[lo:hi] = np.take(mat, flat)
+        value[lo:hi] = mat.ravel()[flat]
     return row, col, value
 
 
@@ -248,12 +248,12 @@ def _check(net: SumNetwork, code: NetworkCode):
     inputs, first = np.array(inputs, dtype=np.int64), np.array(first, dtype=np.int64)
     count = len(first)  # every terminal has its decoder: order[:count] are the terminals
     # The row starts of the decoded rows, terminal t's terms from start t*m.
-    starts = np.append(0, np.cumsum(np.bincount(out, minlength=count * m)[: count * m]))
+    starts = np.searchsorted(out, np.arange(count * m + 1))
     for a, b in _chunks(starts[::m], _CHUNK):
         lo, hi = starts[a * m], starts[b * m]
         col = read[lo:hi]
         bundle, col[:] = np.divmod(col, width)
-        bundle += first[out[lo:hi] // m]
+        bundle += np.repeat(first[a:b], np.diff(starts[a * m : b * m + 1 : m]))
         col += inputs[bundle]  # the stacked row each column reads
     return stacked, (order[:count], starts, read[: starts[-1]], weight[: starts[-1]])
 
