@@ -247,7 +247,7 @@ def _check(net: SumNetwork, code: NetworkCode):
         inputs += map(start.__getitem__, ins)
     inputs, first = np.array(inputs, dtype=np.int64), np.array(first, dtype=np.int64)
     count = len(first)  # every terminal has its decoder: order[:count] are the terminals
-    # The row starts of the decoded rows, terminal t's terms from start t*m.
+    # The row starts of the decoded rows (out is sorted), terminal t's terms from start t*m.
     starts = np.searchsorted(out, np.arange(count * m + 1))
     for a, b in _chunks(starts[::m], _CHUNK):
         lo, hi = starts[a * m], starts[b * m]
@@ -320,23 +320,25 @@ def verify_exact(net: SumNetwork, code: NetworkCode) -> VerifyReport:
     )
 
 
-def _steps(starts: np.ndarray, ends: np.ndarray, size: int):
-    """``_chunks``' ranges [a, b) of items of ``size`` rows as ``_apply`` takes
-    them: a, b, the rows with terms, counted from row a*size, and their starts
-    then the end (np.add.reduceat would give an empty row the next one's term)."""
+def _steps(starts: np.ndarray, reads: np.ndarray, coef: np.ndarray, ends: np.ndarray, size: int):
+    """``_chunks``' ranges [a, b) of items of ``size`` rows, each with its
+    terms as ``_apply`` takes them: the rows with terms, counted from row
+    a*size (np.add.reduceat would give an empty row the next one's term),
+    the start of each one's run, the values read and the coefficients."""
     for a, b in _chunks(ends, _STEP):
         chunk = starts[a * size : b * size + 1]
         rows = np.flatnonzero(np.diff(chunk))
-        yield a, b, rows, np.append(chunk[rows], chunk[-1])
+        lo, hi = chunk[0], chunk[-1]
+        yield a, b, (rows, chunk[rows] - lo, reads[lo:hi], coef[lo:hi])
 
 
-def _apply(rows, starts, reads, coef, values: np.ndarray, p: int, out: np.ndarray) -> None:
-    """Write the term sum of each of ``rows`` over a trials-major block of
-    values, mod p, to that column of ``out``: row rows[j]'s terms are those
-    from starts[j] to starts[j + 1] of reads and coef."""
-    products = np.take(values, reads[starts[0] : starts[-1]], axis=1)
-    products *= coef[starts[0] : starts[-1]]
-    out[:, rows] = np.add.reduceat(products, starts[:-1] - starts[0], axis=1) % p
+def _apply(terms, values: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write each row's term sum over a trials-major block of values, mod p,
+    to that column of ``out``; rows without terms are left as they are."""
+    rows, heads, reads, coef = terms
+    products = np.take(values, reads, axis=1)
+    products *= coef
+    out[:, rows] = np.add.reduceat(products, heads, axis=1) % p
 
 
 def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
@@ -344,29 +346,28 @@ def _failures(net: SumNetwork, code: NetworkCode, terms, blocks) -> list:
     every terminal, and collect (terminal, witness) for every terminal that
     misses the sum, in (message, terminal) order.
 
-    A block is simulated trials-major through ``_check``'s term lists in
-    steps of at most ``_STEP`` terms: the stacked bundle map a chunk of whole
-    rows at a time, into stacked values allocated once per call, where the
-    rows without terms stay zero, and then the decoders a chunk of whole
-    terminals at a time, terminal t's row i decoded as row t*m + i of the
-    chunk.  A terminal also counts its m decoded symbols toward the limit.
+    The steps are those of the module docstring.  The stacked values are
+    allocated once per call, and their rows without terms stay zero.  A chunk
+    decodes its terminal t's row i as row t*m + i, and a terminal counts its
+    m decoded symbols toward ``_STEP``.
     """
     p, m, width = code.p, code.m, code.alpha * code.n
     (heads, coords, coefs), (terminals, starts, reads, coef) = terms
-    bundles = list(_steps(heads, heads, 1))
-    decoders = list(_steps(starts, starts[::m] + m * np.arange(len(terminals) + 1), m))
+    bundles = list(_steps(heads, coords, coefs, heads, 1))
+    ends = starts[::m] + m * np.arange(len(terminals) + 1)
+    decoders = list(_steps(starts, reads, coef, ends, m))
     failures = []
     values = np.zeros((_BLOCK, (2 * net.r + net.c) * width), dtype=np.int64)
     for x in blocks:
         x = np.ascontiguousarray(x.T)
         trials = len(x)
         want = x.reshape(trials, net.r + net.c, m).sum(axis=1) % p
-        for a, b, rows, step in bundles:
-            _apply(rows, step, coords, coefs, x, p, values[:trials, a:b])
+        for a, b, step in bundles:
+            _apply(step, x, p, values[:trials, a:b])
         missed = np.empty((trials, len(terminals)), dtype=bool)
-        for a, b, rows, step in decoders:
+        for a, b, step in decoders:
             got = np.zeros((trials, b - a, m), dtype=np.int64)
-            _apply(rows, step, reads, coef, values[:trials], p, got.reshape(trials, -1))
+            _apply(step, values[:trials], p, got.reshape(trials, -1))
             np.any(got != want[:, None], axis=2, out=missed[:, a:b])
         for trial, pos in zip(*np.nonzero(missed)):
             failures.append((terminals[pos], _assignment(net, m, x[trial])))
